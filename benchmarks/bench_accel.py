@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the exhaustive subset search, the only kernel with a numba path.
 
-Times the three hot paths (exact pair-sum energy, midpoint quadrature,
-exhaustive subset search) on representative workloads and checks that the two
-paths agree. Run as:  python benchmarks/bench_accel.py
+Runs the numpy enumeration and, when numba is installed, the compiled one on
+C(20, 10) subsets, and checks that both find the same minimum. Run as:
+
+    PYTHONPATH=src python benchmarks/bench_accel.py
+
+The energy evaluator and the quadrature are plain numpy; perfbench/ times
+them end to end.
 """
 
 import time
 
-import numpy as np
-
-from nlhomog import _accel, make_lambda_kernel, optimal_profile, oscillating_profile
+from nlhomog import _accel, make_lambda_kernel
 from nlhomog.cell import build_cell_matrix
-from nlhomog.energy import _level_structure
-from nlhomog.states import TripleWellPotential
 
 
-def timeit(fn, *args, repeat=3):
+def best_time(fn, *args, repeat=3):
     best = float("inf")
     result = None
     for _ in range(repeat):
@@ -26,56 +26,23 @@ def timeit(fn, *args, repeat=3):
     return result, best
 
 
-def bench_pair_energy():
-    eps = 1.0 / 512.0
-    k = make_lambda_kernel(1.0, 2.0, 0.5)
-    u = oscillating_profile(-0.5, optimal_profile(0.5), eps)
-    wl, level_idx = _level_structure(u, TripleWellPotential(), 1e-12)
-    t = k.table
-    args = (u.endpoints, u.lengths, level_idx, wl, k.breakpoints, t.q0, t.q1, t.q2, t.mean, eps)
-    label = f"pair energy ({u.values.size} intervals)"
-    return label, args, _accel.pair_energy_numba if _accel.HAVE_NUMBA else None, _accel.pair_energy_numpy
-
-
-def bench_quadrature():
-    k = make_lambda_kernel(1.0, 2.0, 0.5)
-    n = 4096
-    edges = np.linspace(0.0, 1.0, n + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    lengths = np.diff(edges)
-    iu = (centers > 0.5).astype(np.int64)
-    wl = np.array([[1.0, 0.0], [0.0, 1.0]])
-    args = (centers, lengths, iu, wl, k.breakpoints, k.values, 1.0 / 32.0)
-    label = f"quadrature ({n}x{n} cells)"
-    return label, args, _accel.quadrature_energy_numba if _accel.HAVE_NUMBA else None, _accel.quadrature_energy_numpy
-
-
-def bench_brute_force():
+def main():
     n, k_ones = 20, 10  # 184756 subsets
     K = build_cell_matrix(make_lambda_kernel(2.0, 1.0, 0.5), n)
     args = (K.first_row, n, k_ones, 1e-12)
-    label = f"brute force (C({n},{k_ones}) subsets)"
-    return label, args, _accel.brute_force_numba if _accel.HAVE_NUMBA else None, _accel.brute_force_numpy
-
-
-def main():
     print(f"numba available: {_accel.HAVE_NUMBA}; active path: "
-          f"{'numba' if _accel.USE_NUMBA else 'numpy'} "
-          f"(HOMOG_DISABLE_NUMBA toggles)")
+          f"{'numba' if _accel.USE_NUMBA else 'numpy'} (HOMOG_DISABLE_NUMBA toggles)")
     print()
     print(f"{'kernel':<38} {'numpy':>10} {'numba':>10} {'speedup':>9}  agree")
-    for label, args, numba_fn, numpy_fn in (bench_pair_energy(), bench_quadrature(), bench_brute_force()):
-        r_np, t_np = timeit(numpy_fn, *args)
-        if numba_fn is None:
-            print(f"{label:<38} {t_np*1e3:>8.1f}ms {'-':>10} {'-':>9}")
-            continue
-        numba_fn(*args)  # compile outside the timer
-        r_nb, t_nb = timeit(numba_fn, *args)
-        if isinstance(r_np, tuple):
-            agree = abs(r_np[0] - r_nb[0]) <= 1e-9 * max(1.0, abs(r_np[0]))
-        else:
-            agree = abs(r_np - r_nb) <= 1e-9 * max(1.0, abs(r_np))
-        print(f"{label:<38} {t_np*1e3:>8.1f}ms {t_nb*1e3:>8.1f}ms {t_np/t_nb:>8.1f}x  {agree}")
+    label = f"brute force (C({n},{k_ones}) subsets)"
+    r_np, t_np = best_time(_accel.brute_force_numpy, *args)
+    if not _accel.HAVE_NUMBA:
+        print(f"{label:<38} {t_np * 1e3:>8.1f}ms {'-':>10} {'-':>9}")
+        return
+    _accel.brute_force_numba(*args)  # compile outside the timer
+    r_nb, t_nb = best_time(_accel.brute_force_numba, *args)
+    agree = abs(r_np[0] - r_nb[0]) <= 1e-9 * max(1.0, abs(r_np[0]))
+    print(f"{label:<38} {t_np * 1e3:>8.1f}ms {t_nb * 1e3:>8.1f}ms {t_np / t_nb:>8.1f}x  {agree}")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,44 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
+"""Hot numeric kernels: the circle sum behind both energies, and subset search.
 
-Set HOMOG_DISABLE_NUMBA=1 to force the numpy path (read once at import).
-The numba path is also skipped automatically when numba is not importable.
-Both paths implement the same sums with fixed reduction structure, so each is
-deterministic on its own; they agree to ~1e-12 but not bit-for-bit.
+Both energy sums reduce to one primitive on the unit circle. For phases
+``theta_b = x_b/eps mod 1``, weights ``c_b`` and a 1-periodic piecewise
+quadratic ``g`` (segment s starts at ``beta_s``:
+``g(u) = q0_s + q1_s (u - beta_s) + q2_s (u - beta_s)^2``), ``circle_field``
+returns
 
-benchmarks/bench_accel.py times the two paths against each other.
+    F(theta_a) = sum_b c_b g((theta_a - theta_b) mod 1)
+
+at every phase in O(m P log P) for P phases and m segments: the phases and
+their copies ``theta_b - 1`` are sorted once, every b has exactly one copy in
+``(theta - 1, theta]``, and the copies whose difference falls in segment s
+fill the window ``(theta - beta_{s+1}, theta - beta_s]``, which two
+``searchsorted`` calls locate. Prefix sums of ``c``, ``c*phi`` and
+``c*phi^2`` then give each window's sum of ``c_b g(theta - phi_b)`` in O(1).
+Windows are closed on the right, so a difference that lands exactly on
+``beta_s`` belongs to segment s, matching the left-closed segments of the
+weight. The prefix sums of ``c*phi`` and ``c*phi^2`` are accumulated in
+``np.longdouble``: in double precision their rounding error grows with P and
+reached ~1e-12 relative in the energy at P = 6e5, while with the 64-bit
+mantissa of x86-64 long doubles the energy stays within a few ulps up to
+P = 2e6 (see ``energy``). Where numpy's long double is plain double the
+result loses that margin but not its correctness.
+
+- ``pair_energy`` (exact): with ``D^l`` the signed endpoint measure of level l
+  (+1 at right ends, -1 at left ends of its intervals) and ``S_l`` its total
+  length, ``E = abar sum_lm w_lm S_l S_m - eps^2 sum_lm w_lm D^l . F^m`` with
+  ``g = B_per``, the periodic part of the weight's second antiderivative.
+- ``quadrature_energy`` (oracle): the midpoint sum with ``g = a`` itself and
+  ``c`` the cell lengths of each level; it never reads the ``B_per`` table.
+
+The L^2 level-pair terms are added with ``math.fsum``, so the result does not
+depend on the order of the levels. The subset search keeps a numba kernel
+next to its numpy fallback; numba is optional and used nowhere else. Set
+HOMOG_DISABLE_NUMBA=1 to force the numpy search (read once at import).
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -26,142 +55,104 @@ USE_NUMBA = HAVE_NUMBA and _flag not in ("1", "true", "yes")
 
 
 # ---------------------------------------------------------------------------
-# periodic-remainder evaluation B_per((x - y)/eps), shared helpers
+# circle sum: F(theta_a) = sum_b c_b g((theta_a - theta_b) mod 1)
 # ---------------------------------------------------------------------------
 
-def _bper_numpy(t, kbp, q0, q1, q2):
-    u = t - np.floor(t)
-    idx = np.searchsorted(kbp, u, side="right") - 1
-    du = u - kbp[idx]
-    return q0[idx] + du * (q1[idx] + du * q2[idx])
+def phases(x, eps):
+    """x/eps mod 1, rounded to a multiple of 2^-52 so that ``phase - 1`` is
+    exact; this keeps the windows of ``circle_field`` an exact partition."""
+    t = np.asarray(x, dtype=float) / eps
+    t = ((t - np.floor(t)) + 1.0) - 1.0
+    t[t >= 1.0] = 0.0
+    return t
 
 
-def _step_eval_numpy(t, kbp, kvals):
-    u = t - np.floor(t)
-    idx = np.searchsorted(kbp, u, side="right") - 1
-    return kvals[idx]
+def _cumsum0(v, dtype=float):
+    """Prefix sums with a leading 0, accumulated in ``dtype``."""
+    out = np.zeros(v.size + 1, dtype=dtype)
+    np.cumsum(v, out=out[1:])
+    return out
+
+
+def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
+    """F[k, a] = sum_b weights[k, b] g((theta[a] - theta[b]) mod 1).
+
+    ``theta`` holds phases in [0, 1) from ``phases``; ``weights`` has one row
+    per field. ``g`` has segments starting at ``kbp`` with coefficients
+    ``q0, q1, q2``; leaving out q1 and q2 makes it piecewise constant.
+    """
+    order = np.argsort(theta, kind="stable")
+    ts = theta[order]
+    phi = np.concatenate([ts - 1.0, ts])
+    edges = np.append(kbp, 1.0)
+    # window of segment s is phi[cut[s+1]:cut[s]], i.e. (ts - edges[s+1], ts - edges[s]]
+    cut = [np.searchsorted(phi, ts - e, side="right") for e in edges]
+    quadratic = q1 is not None and (np.any(q1) or np.any(q2))
+    out = np.empty((weights.shape[0], theta.size))
+    for k, w in enumerate(weights):
+        c = np.tile(w[order], 2)
+        pre0 = _cumsum0(c)
+        if quadratic:
+            c *= phi
+            pre1 = _cumsum0(c, np.longdouble)
+            c *= phi
+            pre2 = _cumsum0(c, np.longdouble)
+        del c
+        F = np.zeros(theta.size)
+        for s in range(edges.size - 1):
+            lo, hi = cut[s + 1], cut[s]
+            C0 = pre0[hi] - pre0[lo]
+            if not quadratic:
+                F += q0[s] * C0
+                continue
+            C1 = (pre1[hi] - pre1[lo]).astype(float)
+            C2 = (pre2[hi] - pre2[lo]).astype(float)
+            d = ts - edges[s]
+            # sum_b c_b g_s(d - phi_b), expanded in powers of d
+            F += q0[s] * C0 + q1[s] * (d * C0 - C1) + q2[s] * (d * (d * C0 - 2.0 * C1) + C2)
+        out[k, order] = F
+    return out
+
+
+def _level_pair_sum(wl, c, F, scale):
+    """The terms scale * wl[l, m] * (c[l] . F[m]) of the nonzero weights."""
+    L = wl.shape[0]
+    return [
+        scale * wl[l, m] * float(np.sum(c[l] * F[m]))
+        for l in range(L)
+        for m in range(L)
+        if wl[l, m] != 0.0
+    ]
 
 
 # ---------------------------------------------------------------------------
 # exact pair-sum energy: sum_ij w_ij * Int_{I_i x I_j} a((x-y)/eps)
 # ---------------------------------------------------------------------------
 
-def pair_energy_numpy(endpoints, lengths, level_idx, wl, kbp, q0, q1, q2, abar, eps, block=512):
-    """Blocked numpy evaluation; fixed block size keeps the sum order stable.
-
-    ``level_idx`` maps each interval to a row/column of the small weight
-    matrix ``wl`` (one entry per pair of distinct function values), so memory
-    stays O(P * block) for P intervals.
-    """
-    c = endpoints
-    P = lengths.shape[0]
-    wcols = wl[:, level_idx]  # (L, P)
-    area = 0.0
-    per = 0.0
-    for s in range(0, P, block):
-        e = min(s + block, P)
-        wblk = wcols[level_idx[s:e], :]  # (e-s, P)
-        D = _bper_numpy((c[s : e + 1, None] - c[None, :]) / eps, kbp, q0, q1, q2)
-        M = D[1:, :-1] - D[1:, 1:] - D[:-1, :-1] + D[:-1, 1:]
-        per += float(np.sum(wblk * M))
-        area += float(lengths[s:e] @ (wblk @ lengths))
-    return abar * area + eps * eps * per
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _bper_scalar(t, kbp, q0, q1, q2):
-        u = t - np.floor(t)
-        m = kbp.shape[0]
-        idx = m - 1
-        for s in range(m - 1):
-            if u < kbp[s + 1]:
-                idx = s
-                break
-        du = u - kbp[idx]
-        return q0[idx] + du * (q1[idx] + du * q2[idx])
-
-    @njit(cache=True)
-    def pair_energy_numba(endpoints, lengths, level_idx, wl, kbp, q0, q1, q2, abar, eps):
-        P = lengths.shape[0]
-        area = 0.0
-        per = 0.0
-        for i in range(P):
-            x0 = endpoints[i]
-            x1 = endpoints[i + 1]
-            li = level_idx[i]
-            row_area = 0.0
-            row_per = 0.0
-            for j in range(P):
-                wij = wl[li, level_idx[j]]
-                if wij == 0.0:
-                    continue
-                y0 = endpoints[j]
-                y1 = endpoints[j + 1]
-                p = (
-                    _bper_scalar((x1 - y0) / eps, kbp, q0, q1, q2)
-                    - _bper_scalar((x1 - y1) / eps, kbp, q0, q1, q2)
-                    - _bper_scalar((x0 - y0) / eps, kbp, q0, q1, q2)
-                    + _bper_scalar((x0 - y1) / eps, kbp, q0, q1, q2)
-                )
-                row_per += wij * p
-                row_area += wij * lengths[j]
-            area += row_area * lengths[i]
-            per += row_per
-        return abar * area + eps * eps * per
-
-
 def pair_energy(endpoints, lengths, level_idx, wl, kbp, q0, q1, q2, abar, eps):
-    if USE_NUMBA:
-        return pair_energy_numba(endpoints, lengths, level_idx, wl, kbp, q0, q1, q2, abar, eps)
-    return pair_energy_numpy(endpoints, lengths, level_idx, wl, kbp, q0, q1, q2, abar, eps)
+    """Exact rectangle sum; ``level_idx`` maps each interval to a row/column
+    of the small level weight matrix ``wl``."""
+    L = wl.shape[0]
+    P = lengths.shape[0]
+    D = np.zeros((L, P + 1))
+    D[level_idx, np.arange(P)] = -1.0
+    D[level_idx, np.arange(1, P + 1)] += 1.0
+    S = np.bincount(level_idx, weights=lengths, minlength=L)
+    F = circle_field(phases(endpoints, eps), D, kbp, q0, q1, q2)
+    area = [abar * wl[l, m] * S[l] * S[m] for l in range(L) for m in range(L)]
+    return math.fsum(area + _level_pair_sum(wl, D, F, -eps * eps))
 
 
 # ---------------------------------------------------------------------------
 # midpoint tensor quadrature: sum_cd a((x_c - x_d)/eps) w[iu_c, iu_d] l_c l_d
 # ---------------------------------------------------------------------------
 
-def quadrature_energy_numpy(centers, lengths, iu, w, kbp, kvals, eps, block=256):
-    total = 0.0
-    C = centers.shape[0]
-    for s in range(0, C, block):
-        e = min(s + block, C)
-        a = _step_eval_numpy((centers[s:e, None] - centers[None, :]) / eps, kbp, kvals)
-        wmat = w[iu[s:e][:, None], iu[None, :]]
-        rows = (a * wmat) @ lengths
-        total += float(rows @ lengths[s:e])
-    return total
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def quadrature_energy_numba(centers, lengths, iu, w, kbp, kvals, eps):
-        C = centers.shape[0]
-        m = kbp.shape[0]
-        total = 0.0
-        for i in range(C):
-            xi = centers[i]
-            wi = iu[i]
-            row = 0.0
-            for j in range(C):
-                t = (xi - centers[j]) / eps
-                u = t - np.floor(t)
-                val = kvals[m - 1]
-                for s in range(m - 1):
-                    if u < kbp[s + 1]:
-                        val = kvals[s]
-                        break
-                row += val * w[wi, iu[j]] * lengths[j]
-            total += row * lengths[i]
-        return total
-
-
 def quadrature_energy(centers, lengths, iu, w, kbp, kvals, eps):
-    if USE_NUMBA:
-        return quadrature_energy_numba(centers, lengths, iu, w, kbp, kvals, eps)
-    return quadrature_energy_numpy(centers, lengths, iu, w, kbp, kvals, eps)
+    L = w.shape[0]
+    c = np.zeros((L, lengths.shape[0]))
+    c[iu, np.arange(lengths.shape[0])] = lengths
+    F = circle_field(phases(centers, eps), c, kbp, kvals)
+    return math.fsum(_level_pair_sum(w, c, F, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,8 @@ def solve_brute_force(
         n_comb = math.comb(n, k_ones)
         if n_comb > BRUTE_FORCE_CAP:
             raise ResourceLimitError(
-                f"C({n},{k_ones}) = {n_comb} exceeds the enumeration cap {BRUTE_FORCE_CAP}"
+                f"solve_brute_force: C({n},{k_ones}) = {n_comb} subsets exceed the "
+                f"enumeration cap {BRUTE_FORCE_CAP}"
             )
         raw, idx = _accel.brute_force_search(row, n, k_ones, tie_tol)
         iterations = n_comb

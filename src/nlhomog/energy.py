@@ -14,9 +14,29 @@ which is exact via the decomposed second antiderivative of the weight:
                      - B_per((x0-y0)/eps) + B_per((x0-y1)/eps)].
 
 The mean*area term is computed directly (never as a difference of large
-antiderivative values), so no precision is lost at small eps. A midpoint
-tensor quadrature on a grid refined to the breakpoints of u serves as an
-independent oracle.
+antiderivative values), so no precision is lost at small eps. B_per is
+1-periodic, so the corner terms of all P^2 rectangles depend only on the
+endpoint phases e/eps mod 1; ``_accel.pair_energy`` sums them as a field on
+the circle in O(P log P) (its module docstring has the algebra), and
+``rect_integral`` keeps the single-rectangle formula as the O(P^2) oracle of
+the tests. A midpoint tensor quadrature on a grid refined to the breakpoints
+of u serves as an independent oracle; it uses the same circle sum with the
+weight a itself and never touches B_per.
+
+Error budget, measured with the two-arc recovery profile (u = z + chi, 2/eps
++ 1 intervals), whose exact energy on whole-period grids is the limit value
+gamma_limit_constant_value: worst |E - limit| / limit over the weights
+(alpha, beta, lam) = (1, 2, 1/2), (2.5, 0.7, 0.3), (0.6, 2.9, 0.77) and
+z = -1/2, -0.2 on x86-64:
+
+    1/eps = 2^10, 2^12, ..., 2^20  (P = 2049 .. 2_097_153)  <= 1.6e-16
+    1/eps = 1e3, 1e4, 1e5, 1e6     (P = 2001 .. 2_000_001)  <= 1.8e-16
+    1/eps = 3e5                    (P = 600_001)            <= 4.7e-16
+
+tests/test_energy.py::TestErrorBudget holds 1/eps = 2^14 and 2^16 to 1e-12.
+At 1/eps = 1e6 the profile builds in ~0.2 s and evaluates in ~1.7 s on one
+core of a 2-vCPU VM (peak RSS ~0.7 GB). ``MAX_INTERVALS`` (shared with
+profile construction) admits it and 1/eps = 2^20.
 """
 
 from __future__ import annotations
@@ -29,10 +49,10 @@ import numpy as np
 from . import _accel
 from .kernel import PERIODIC_REDUCTION_RANGE, PeriodicStepKernel
 from .states import DEFAULT_VALUE_TOL, StepFunction, TripleWellPotential
-from .util import ArgumentRangeError, ResourceLimitError
+from .util import MAX_INTERVALS, ArgumentRangeError, ResourceLimitError
 
-# O(P^2) rectangle integrals; beyond this the exact evaluator is not a desk job
-MAX_INTERVALS = 20_000
+# refined-grid cells of the quadrature; the same circle sum as the evaluator
+MAX_QUADRATURE_CELLS = MAX_INTERVALS
 
 
 @dataclass(frozen=True)
@@ -110,7 +130,7 @@ def evaluate(
         raise ArgumentRangeError("1/eps exceeds the periodic reduction range")
     P = u.values.shape[0]
     if P > MAX_INTERVALS:
-        raise ResourceLimitError(f"{P} intervals exceeds the exact-evaluator cap")
+        raise ResourceLimitError(f"evaluate: {P} intervals exceed the cap {MAX_INTERVALS}")
     wl, level_idx = _level_structure(u, p, value_tol)
     # every level occurs on some interval, so an infinite entry anywhere in
     # the level matrix is hit by a positive-area pair
@@ -141,12 +161,20 @@ def evaluate_quadrature(
         bound = sum|jumps| * (2/eps + 1) * 2C * w_max * h_max^2  + float slack.
 
     For a constant weight the bound is pure float slack and the quadrature
-    agrees with the exact evaluator to rounding.
+    agrees with the exact evaluator to rounding. The refined grid has at most
+    n + P cells; more than ``MAX_QUADRATURE_CELLS`` fails before anything is
+    allocated.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    cells = n + u.values.shape[0]
+    if cells > MAX_QUADRATURE_CELLS:
+        raise ResourceLimitError(
+            f"evaluate_quadrature: up to {cells} grid cells (n = {n}) exceed the cap "
+            f"{MAX_QUADRATURE_CELLS}"
+        )
     wl, level_idx = _level_structure(u, p, value_tol)
     if np.any(np.isinf(wl)):
         raise ValueError("quadrature needs a finite potential or an admissible u")

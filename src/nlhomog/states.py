@@ -15,10 +15,10 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .util import ResourceLimitError
+from .util import MAX_INTERVALS, ResourceLimitError
 
 DEFAULT_VALUE_TOL = 1e-12
-DEFAULT_BREAKPOINT_CAP = 1_000_000
+DEFAULT_BREAKPOINT_CAP = MAX_INTERVALS
 
 Arc = Tuple[float, float]
 
@@ -213,6 +213,17 @@ def _validate_arcs(arcs: Sequence[Arc]) -> list:
     return out
 
 
+def _merge_touching(arcs: list) -> list:
+    """Join arcs where one ends exactly where the next starts."""
+    out = []
+    for a, b in arcs:
+        if out and out[-1][1] == a:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
+
+
 def _arcs_from_indicator(profile) -> list:
     """Contiguous {0,1} cell runs of a grid profile, as arcs in [0, 1]."""
     values = np.asarray(profile.values, dtype=float)
@@ -236,56 +247,44 @@ def oscillating_profile(
     z: float,
     arcs,
     eps: float,
-    max_breakpoints: int = DEFAULT_BREAKPOINT_CAP,
+    max_breakpoints: Optional[int] = None,
 ) -> StepFunction:
     """The step function x -> z + chi_arcs(x/eps mod 1) on (0,1).
 
     The indicator's support within the unit cell is given either as a list of
     arcs or as a {0,1}-valued grid profile (anything with a ``values``
     attribute). Intervals of equal value arising across period boundaries are
-    merged, so the breakpoint count is at most 2*len(arcs)/eps + O(1).
+    merged, so the breakpoint count is at most 2*runs/eps + 2, where runs is
+    the number of cyclic runs of the indicator. That estimate is checked
+    against ``max_breakpoints`` (default ``DEFAULT_BREAKPOINT_CAP``) before
+    anything is built.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     if hasattr(arcs, "values"):
         arcs = _arcs_from_indicator(arcs)
-    arcs = _validate_arcs(arcs)
+    arcs = _merge_touching(_validate_arcs(arcs))
     n_periods = math.ceil(1.0 / eps - 1e-12)
-    est = 2 * max(len(arcs), 1) * n_periods + 2
-    if est > max_breakpoints:
+    # cyclic runs of the indicator; an arc ending at 1 continues one at 0
+    runs = len(arcs) - int(bool(arcs) and arcs[0][0] == 0.0 and arcs[-1][1] == 1.0)
+    est = 2 * max(runs, 1) * n_periods + 2
+    cap = DEFAULT_BREAKPOINT_CAP if max_breakpoints is None else max_breakpoints
+    if est > cap:
         raise ResourceLimitError(
-            f"profile would need ~{est} breakpoints (cap {max_breakpoints})"
+            f"oscillating_profile: ~{est} breakpoints at 1/eps = {1.0 / eps:.6g} "
+            f"exceed the cap {cap}"
         )
-    cuts = [0.0]
-    flags = []  # indicator value on [cuts[i], cuts[i+1])
-    for j in range(n_periods):
-        base = j * eps
-        pos = base
-        for a, b in arcs:
-            # single rounding per cut keeps whole-period grids exact
-            xa, xb = (j + a) * eps, (j + b) * eps
-            if xa >= 1.0:
-                break
-            if xa > pos and pos < 1.0:
-                flags.append(0.0)
-                cuts.append(min(xa, 1.0))
-                pos = min(xa, 1.0)
-            if pos >= 1.0:
-                break
-            flags.append(1.0)
-            cuts.append(min(xb, 1.0))
-            pos = min(xb, 1.0)
-        period_end = min((j + 1) * eps, 1.0)
-        if pos < period_end:
-            flags.append(0.0)
-            cuts.append(period_end)
+    # Period j is cut at (j+a)*eps and (j+b)*eps for each arc, then at
+    # (j+1)*eps; each cut ends a piece of value 0 (gap), 1 (arc), ..., 0.
+    # One rounding per cut keeps whole-period grids exact.
+    offsets = np.append(np.asarray(arcs, dtype=float).reshape(-1), 1.0)
+    flags = np.append(np.tile([0.0, 1.0], len(arcs)), 0.0)
+    j = np.arange(n_periods, dtype=float)
+    cuts = np.minimum((j[:, None] + offsets[None, :]) * eps, 1.0).reshape(-1)
+    cuts = np.concatenate([[0.0], cuts])
+    flags = np.tile(flags, n_periods)
     # drop zero-length pieces, merge equal neighbours
-    bp, vals = [], []
-    for i, f in enumerate(flags):
-        if cuts[i + 1] <= cuts[i]:
-            continue
-        if vals and vals[-1] == f:
-            continue
-        bp.append(cuts[i])
-        vals.append(f)
-    return StepFunction(np.array(bp), z + np.array(vals))
+    keep = cuts[1:] > cuts[:-1]
+    starts, flags = cuts[:-1][keep], flags[keep]
+    first = np.concatenate([[True], flags[1:] != flags[:-1]])
+    return StepFunction(starts[first], z + flags[first])

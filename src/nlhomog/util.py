@@ -10,8 +10,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 
+# Interval cap shared by profile construction, the exact evaluator and the
+# quadrature grid: the two-arc recovery profile has 2_000_001 intervals at
+# 1/eps = 1e6 and 2_097_153 at 1/eps = 2^20; both evaluate in seconds.
+MAX_INTERVALS = 2_200_000
+
+
 class ResourceLimitError(RuntimeError):
-    """A configured size cap (breakpoint count, enumeration size) was exceeded."""
+    """A configured size cap (breakpoint count, enumeration size) was exceeded.
+
+    The message names the stage that refused the work and the size that hit
+    the cap."""
 
 
 class ArgumentRangeError(ValueError):

@@ -6,8 +6,9 @@ from nlhomog.cell import build_cell_matrix, solve_brute_force
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_jit():
-    # compile the numba kernels once so runtime assertions measure the
-    # algorithms, not JIT latency
+    # run every hot path once (and compile the numba subset search, when
+    # numba is installed) so runtime assertions measure the algorithms, not
+    # first-call latency
     k = nl.make_lambda_kernel(1.0, 2.0, 0.5)
     u = nl.oscillating_profile(-0.5, nl.optimal_profile(0.5), 0.25)
     pot = nl.TripleWellPotential()

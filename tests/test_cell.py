@@ -267,7 +267,7 @@ class TestBruteForce:
 
     def test_enumeration_cap(self):
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 40)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"solve_brute_force: C\(40,20\) = \d+ subsets"):
             solve_brute_force(K, 20, mode="all_subsets")
 
     def test_all_subsets_never_above_arcs(self):

@@ -70,6 +70,17 @@ class TestEnergyCommand:
         report = read_json(tmp_path / "energy.json")
         assert report["result"]["exact"]["value"] == "inf"
 
+    def test_oversized_quadrature_grid_fails_before_work(self, tmp_path, capsys):
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        rc = dispatch(
+            ["energy", "--u", str(upath), "--eps", "0.125", "--quad-n", "1000000000",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        assert "evaluate_quadrature" in capsys.readouterr().err
+        assert not (tmp_path / "energy.json").exists()
+
     def test_missing_u_is_config_error(self, tmp_path):
         assert dispatch(["energy", "--output-dir", str(tmp_path)]) == 1
 

@@ -6,6 +6,7 @@ import pytest
 from nlhomog import (
     ArgumentRangeError,
     PeriodicStepKernel,
+    ResourceLimitError,
     StepFunction,
     TripleWellPotential,
     evaluate,
@@ -16,6 +17,8 @@ from nlhomog import (
     oscillating_profile,
     rect_integral,
 )
+from nlhomog import energy
+from nlhomog.gammalab import gamma_limit_constant_value
 
 INF_POT = TripleWellPotential()
 
@@ -151,6 +154,60 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(StepFunction.constant(0.0), INF_POT, k, -1.0)
 
+    def test_interval_cap_names_stage_and_size(self, monkeypatch):
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        u = oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / 8.0)  # 17 intervals
+        monkeypatch.setattr(energy, "MAX_INTERVALS", 17)
+        evaluate(u, INF_POT, k, 1.0 / 8.0)
+        monkeypatch.setattr(energy, "MAX_INTERVALS", 16)
+        with pytest.raises(ResourceLimitError, match=r"evaluate: 17 intervals exceed the cap 16"):
+            evaluate(u, INF_POT, k, 1.0 / 8.0)
+
+
+class TestErrorBudget:
+    """The recovery profile on whole-period grids has energy exactly equal to
+    the limit, so |E - limit| is the evaluator's rounding error at that P."""
+
+    KERNELS = ((1.0, 2.0, 0.5), (2.5, 0.7, 0.3))
+
+    def test_whole_period_grids_hit_the_limit(self):
+        for alpha, beta, lam in self.KERNELS:
+            k = make_lambda_kernel(alpha, beta, lam)
+            limit = gamma_limit_constant_value(alpha, beta, lam)
+            for m in (2**14, 2**16):
+                u = oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / m)
+                assert u.values.size == 2 * m + 1
+                value = evaluate(u, INF_POT, k, 1.0 / m).value
+                assert abs(value - limit) <= 1e-12 * limit, (alpha, beta, lam, m, value)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 60, reason="numpy's long double is plain double here"
+    )
+    def test_non_dyadic_grid_stays_at_rounding_level(self):
+        # 1/eps = 1e5 is whole but eps is not a dyadic float; with double
+        # prefix sums the error here was 5.6e-13
+        m = 10**5
+        for alpha, beta, lam in self.KERNELS:
+            k = make_lambda_kernel(alpha, beta, lam)
+            limit = gamma_limit_constant_value(alpha, beta, lam)
+            u = oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / m)
+            value = evaluate(u, INF_POT, k, 1.0 / m).value
+            assert abs(value - limit) <= 1e-14 * limit, (alpha, beta, lam, value)
+
+    def test_non_whole_grid_stays_in_jitter_envelope(self):
+        # With N = floor(1/eps) whole periods filling [0, N eps), the energy
+        # on that square is (N eps)^2 * limit; the rest of the unit square
+        # has area 1 - (N eps)^2 and an integrand in [0, a_max].
+        inv_eps = 2.0**16 + 0.5
+        for alpha, beta, lam in self.KERNELS:
+            k = make_lambda_kernel(alpha, beta, lam)
+            limit = gamma_limit_constant_value(alpha, beta, lam)
+            covered = math.floor(inv_eps) / inv_eps
+            envelope = (1.0 - covered**2) * max(limit, max(alpha, beta) - limit) + 1e-12 * limit
+            u = oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / inv_eps)
+            value = evaluate(u, INF_POT, k, 1.0 / inv_eps).value
+            assert abs(value - limit) <= envelope
+
 
 class TestQuadrature:
     def test_self_consistency_flat(self):
@@ -180,6 +237,16 @@ class TestQuadrature:
         u = StepFunction([0.0, 0.5], [0.0, 0.5])
         with pytest.raises(ValueError):
             evaluate_quadrature(u, INF_POT, k, 0.1, n=64)
+
+    def test_grid_cap_checked_before_allocation(self, monkeypatch):
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        u = StepFunction([0.0, 0.5], [0.0, 1.0])
+        with pytest.raises(ResourceLimitError, match=r"evaluate_quadrature: up to \d+ grid cells"):
+            evaluate_quadrature(u, INF_POT, k, 0.1, n=10**12)
+        monkeypatch.setattr(energy, "MAX_QUADRATURE_CELLS", 66)
+        evaluate_quadrature(u, INF_POT, k, 0.1, n=64)
+        with pytest.raises(ResourceLimitError, match=r"up to 67 grid cells \(n = 65\)"):
+            evaluate_quadrature(u, INF_POT, k, 0.1, n=65)
 
     def test_n_validation(self):
         k = make_lambda_kernel(1.0, 2.0, 0.5)

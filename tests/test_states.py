@@ -16,6 +16,8 @@ from nlhomog import (
     optimal_profile,
     oscillating_profile,
 )
+from nlhomog import energy, states
+from nlhomog.states import _arcs_from_indicator
 
 
 class TestPotential:
@@ -160,7 +162,82 @@ class TestAdmissibleInterval:
             assert iv.empty == (u.ess_sup() - u.ess_inf() > 1.0)
 
 
+def _reference_profile(z, arcs, eps):
+    """The per-period loop that built oscillating profiles before they were
+    vectorised; oscillating_profile must match it bit for bit."""
+    n_periods = math.ceil(1.0 / eps - 1e-12)
+    cuts = [0.0]
+    flags = []  # indicator value on [cuts[i], cuts[i+1])
+    for j in range(n_periods):
+        pos = j * eps
+        for a, b in arcs:
+            xa, xb = (j + a) * eps, (j + b) * eps
+            if xa >= 1.0:
+                break
+            if xa > pos and pos < 1.0:
+                flags.append(0.0)
+                cuts.append(min(xa, 1.0))
+                pos = min(xa, 1.0)
+            if pos >= 1.0:
+                break
+            flags.append(1.0)
+            cuts.append(min(xb, 1.0))
+            pos = min(xb, 1.0)
+        period_end = min((j + 1) * eps, 1.0)
+        if pos < period_end:
+            flags.append(0.0)
+            cuts.append(period_end)
+    bp, vals = [], []
+    for i, f in enumerate(flags):
+        if cuts[i + 1] <= cuts[i]:
+            continue
+        if vals and vals[-1] == f:
+            continue
+        bp.append(cuts[i])
+        vals.append(f)
+    return np.array(bp), z + np.array(vals)
+
+
+def _random_arcs(rng):
+    """Sorted disjoint arcs; some touch, start at 0 or end at 1."""
+    cuts = np.unique(np.round(rng.uniform(0.0, 1.0, 2 * int(rng.integers(0, 5))), 2))
+    if rng.random() < 0.3:
+        cuts = np.unique(np.concatenate([[0.0], cuts]))
+    if rng.random() < 0.3:
+        cuts = np.unique(np.concatenate([cuts, [1.0]]))
+    arcs = [(float(a), float(b)) for a, b in zip(cuts[:-1:2], cuts[1::2])]
+    if len(arcs) > 1 and rng.random() < 0.3:
+        a, b = arcs[0]
+        arcs[0:1] = [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+    return arcs
+
+
 class TestOscillatingProfile:
+    def test_matches_reference_loop_bit_for_bit(self):
+        from nlhomog import CellProfile
+
+        rng = np.random.default_rng(3)
+        for case in range(300):
+            arcs = _random_arcs(rng)
+            if case % 2:
+                inv_eps = float(rng.integers(1, 400))
+            else:
+                inv_eps = float(rng.uniform(1.0, 400.0))
+            eps = 1.0 / inv_eps
+            z = float(rng.uniform(-1.0, 1.0))
+            u = oscillating_profile(z, arcs, eps)
+            bp, vals = _reference_profile(z, arcs, eps)
+            assert np.array_equal(u.breakpoints, bp), (arcs, eps)
+            assert np.array_equal(u.values, vals), (arcs, eps)
+        for n in (4, 8, 12, 16):
+            for case in range(10):
+                grid = CellProfile.from_values(rng.integers(0, 2, n).astype(float))
+                eps = 1.0 / float(rng.choice([rng.integers(1, 300), rng.uniform(1.0, 300.0)]))
+                u = oscillating_profile(0.25, grid, eps)
+                bp, vals = _reference_profile(0.25, _arcs_from_indicator(grid), eps)
+                assert np.array_equal(u.breakpoints, bp)
+                assert np.array_equal(u.values, vals)
+
     def test_quarter_eps_profile(self):
         u = oscillating_profile(-0.5, optimal_profile(0.5), 0.25)
         assert set(np.unique(u.values)) == {-0.5, 0.5}
@@ -190,6 +267,19 @@ class TestOscillatingProfile:
     def test_breakpoint_cap(self):
         with pytest.raises(ResourceLimitError):
             oscillating_profile(0.0, optimal_profile(0.5), 1e-4, max_breakpoints=100)
+
+    def test_default_cap_names_stage_and_size(self, monkeypatch):
+        monkeypatch.setattr(states, "DEFAULT_BREAKPOINT_CAP", 100)
+        # the two arcs of optimal_profile(0.5) form one cyclic run: 2*50 + 2
+        oscillating_profile(0.0, optimal_profile(0.5), 1.0 / 49.0)
+        with pytest.raises(ResourceLimitError, match=r"oscillating_profile: ~102 breakpoints"):
+            oscillating_profile(0.0, optimal_profile(0.5), 1.0 / 50.0)
+
+    def test_default_cap_admits_recovery_profile_at_1e6(self):
+        # 2_000_001 intervals; the estimate is checked before anything is built
+        n_periods = 10**6
+        assert 2 * n_periods + 2 <= states.DEFAULT_BREAKPOINT_CAP
+        assert states.DEFAULT_BREAKPOINT_CAP == energy.MAX_INTERVALS
 
     def test_grid_indicator_input(self):
         from nlhomog import CellProfile
