@@ -31,25 +31,25 @@ result loses that margin but not its correctness.
   ``c`` the cell lengths of each level; it never reads the ``B_per`` table.
 
 The L^2 level-pair terms are added with ``math.fsum``, so the result does not
-depend on the order of the levels. The subset search keeps a numba kernel
-next to its numpy fallback; numba is optional and used nowhere else. Set
-HOMOG_DISABLE_NUMBA=1 to force the numpy search (read once at import).
+depend on the order of the levels.
+
+``brute_force_search`` scores one k-subset per rotation class of the cell
+grid (see ``necklace_gaps``). Every kernel here is plain numpy and Python;
+numba is used nowhere. ``HAVE_NUMBA`` (numba importable) and
+``USE_NUMBA`` (that, unless HOMOG_DISABLE_NUMBA=1 is set at import) select
+no code path: they are kept only because benchmark reports record them.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
+from array import array
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 _flag = os.environ.get("HOMOG_DISABLE_NUMBA", "0").strip().lower()
 USE_NUMBA = HAVE_NUMBA and _flag not in ("1", "true", "yes")
 
@@ -158,24 +158,75 @@ def quadrature_energy(centers, lengths, iu, w, kbp, kvals, eps):
 # ---------------------------------------------------------------------------
 # exhaustive subset search over the circulant quadratic form
 #
-# Minimizes s(S) = sum_{i,j in S} row[(j-i) mod n] over k-subsets enumerated
-# in lexicographic order; a new subset replaces the incumbent only when it is
-# better by more than tie_tol, so among near-ties the lexicographically first
-# subset wins in both paths.
+# s(S) = sum_{i,j in S} row[(j-i) mod n] is invariant under rotating S, so
+# only one subset per rotation class is scored: the lexicographically
+# smallest rotation, which contains cell 0. Listed in lexicographic order,
+# these representatives are exactly the subsets at which a scan of all
+# k-subsets in lexicographic order first meets each class.
 # ---------------------------------------------------------------------------
 
-def brute_force_numpy(row, n, k, tie_tol, chunk=4096):
-    from itertools import combinations, islice
+def necklace_gaps(n, k):
+    """Gap sequences of the k-subsets of Z_n that are lexicographically
+    smallest among their rotations, in lexicographic order, as a flat array.
 
+    The subset {0, g_1, g_1 + g_2, ...} has cyclic gaps g_1..g_k (each >= 1,
+    summing to n); it is the smallest rotation of its class exactly when its
+    gap sequence is the smallest of the k rotations of that sequence, i.e. a
+    necklace. The FKM recursion (Ruskey & Sawada, SIAM J. Comput. 1999)
+    builds prenecklaces by ``g_t >= g_{t-p}``, where the period p resets to t
+    when g_t grows; every gap is at least g_1, which bounds each g_t, and the
+    last gap is forced to n minus the others. Needs 1 <= k <= n.
+    """
+    out = array("h" if n < 2**15 else "i")  # 16-bit gaps where they fit
+    if k == 1:
+        out.append(n)
+        return out
+    g = [0] * (k + 1)  # g[1..k]; g[0] = 0 lies below every gap
+    before_sum = [0] * k  # g_1 + ... + g_{t-1}, for the free positions t < k
+    before_per = [1] * k  # period of g_1..g_{t-1}
+    t = 1
+    while t:
+        v = g[t] + 1
+        limit = n // k if t == 1 else n - before_sum[t] - (k - t) * g[1]
+        if v > limit:
+            t -= 1
+            continue
+        g[t] = v
+        p = before_per[t] if v == g[t - before_per[t]] else t
+        s = before_sum[t] + v
+        if t + 1 < k:
+            t += 1
+            before_sum[t], before_per[t] = s, p
+            g[t] = g[t - p] - 1  # the first value tried at t is g[t-p]
+            continue
+        last = n - s
+        ref = g[k - p]
+        if last > ref or (last == ref and k % p == 0):
+            out.extend(g[1:k])
+            out.append(last)
+    return out
+
+
+def brute_force_search(row, n, k, tie_tol, chunk=4096):
+    """Minimize s(S) over k-subsets of Z_n, one subset per rotation class.
+
+    Representatives are scored in lexicographic order with the same sum, in
+    the same order, as a scan of all subsets would use; a subset replaces the
+    incumbent only when it is better by more than tie_tol. A later rotation
+    of a class is a plain shift, whose sum is bit-identical, or a wrapped
+    one, which differs only by rounding, so neither could replace it: the
+    result equals that of the full lexicographic scan.
+    """
+    if k == 0:
+        return 0.0, np.zeros(0, dtype=np.int64)
+    buf = necklace_gaps(n, k)
+    gaps = np.frombuffer(buf, dtype=buf.typecode).reshape(-1, k)
     best = np.inf
     best_idx = np.arange(k)
-    it = combinations(range(n), k)
-    while True:
-        block = list(islice(it, chunk))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.int64)
-        s = np.zeros(len(block))
+    for lo in range(0, gaps.shape[0], chunk):
+        idx = np.zeros((min(chunk, gaps.shape[0] - lo), k), dtype=np.int64)
+        np.cumsum(gaps[lo:lo + chunk, :-1], axis=1, out=idx[:, 1:])
+        s = np.zeros(idx.shape[0])
         for a in range(k):
             for b in range(k):
                 s += row[(idx[:, b] - idx[:, a]) % n]
@@ -184,38 +235,3 @@ def brute_force_numpy(row, n, k, tie_tol, chunk=4096):
                 best = float(s[pos])
                 best_idx = idx[pos]
     return best, np.asarray(best_idx, dtype=np.int64)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def brute_force_numba(row, n, k, tie_tol):
-        idx = np.arange(k)
-        best = np.inf
-        best_idx = idx.copy()
-        while True:
-            s = 0.0
-            for a in range(k):
-                ia = idx[a]
-                for b in range(k):
-                    s += row[(idx[b] - ia) % n]
-            if s < best - tie_tol:
-                best = s
-                best_idx[:] = idx
-            i = k - 1
-            while i >= 0 and idx[i] == i + n - k:
-                i -= 1
-            if i < 0:
-                break
-            idx[i] += 1
-            for j in range(i + 1, k):
-                idx[j] = idx[j - 1] + 1
-        return best, best_idx
-
-
-def brute_force_search(row, n, k, tie_tol):
-    if k == 0:
-        return 0.0, np.zeros(0, dtype=np.int64)
-    if USE_NUMBA:
-        return brute_force_numba(row, n, k, tie_tol)
-    return brute_force_numpy(row, n, k, tie_tol)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
 from .energy import rect_integral
@@ -126,14 +127,20 @@ class CellKernelMatrix:
         return float(self.first_row[(j - i) % self.n])
 
     def matvec(self, x: np.ndarray, use_fft: Optional[bool] = None) -> np.ndarray:
-        """y_i = sum_j row[(j-i) mod n] x_j; direct by default, FFT for large n."""
+        """y_i = sum_j row[(j-i) mod n] x_j; direct by default, FFT for large n.
+
+        The direct path builds the dense matrix from the doubled row r2: row i
+        is ``r2[n-i : 2n-i]``, so the rows are windows of r2 read backwards,
+        copied once into a contiguous n x n array for one BLAS product. No
+        index matrix is formed.
+        """
         if use_fft is None:
             use_fft = self.n >= FFT_MATVEC_THRESHOLD
         if use_fft:
             freq = np.conj(np.fft.fft(self.first_row)) * np.fft.fft(x)
             return np.fft.ifft(freq).real
-        idx = (np.arange(self.n)[None, :] - np.arange(self.n)[:, None]) % self.n
-        return self.first_row[idx] @ x
+        r2 = np.concatenate([self.first_row, self.first_row])
+        return np.ascontiguousarray(sliding_window_view(r2, self.n)[self.n:0:-1]) @ x
 
     def quad_form(self, x: np.ndarray, use_fft: Optional[bool] = None) -> float:
         return float(x @ self.matvec(x, use_fft=use_fft))
@@ -194,20 +201,14 @@ def project_box_mean(x: np.ndarray, t: float, tol: float = 1e-12, max_iter: int 
     return y, ok
 
 
-def _power_iteration_bound(K: CellKernelMatrix, iters: int = 100) -> float:
-    """Largest |eigenvalue| of K/n^2 by power iteration (deterministic start)."""
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(K.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = K.matvec(v) / (K.n * K.n)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        lam = nrm
-        v = w / nrm
-    return float(lam)
+def _spectral_norm(K: CellKernelMatrix) -> float:
+    """Spectral norm of K/n^2, exactly: max|FFT(first_row)| / n^2.
+
+    A circulant's eigenvalues are the DFT of its first row, and a circulant
+    is normal, so its largest |eigenvalue| is its spectral norm (Gray,
+    "Toeplitz and Circulant Matrices: A Review").
+    """
+    return float(np.max(np.abs(np.fft.fft(K.first_row)))) / (K.n * K.n)
 
 
 def solve_relaxed(
@@ -229,7 +230,7 @@ def solve_relaxed(
         raise ValueError("t must lie in [0, 1]")
     n = K.n
     if step is None:
-        L = _power_iteration_bound(K)
+        L = _spectral_norm(K)
         step = 1.0 / (2.0 * L) if L > 0 else 1.0
     rng = np.random.default_rng(seed)
     starts = [
@@ -278,14 +279,34 @@ def _arc_indices(n: int, k_ones: int, r: int) -> np.ndarray:
     return (r + np.arange(k_ones)) % n
 
 
+def enumeration_size(n: int, k_ones: int) -> int:
+    """C(n, k_ones), the subsets an all-subsets search covers; raises
+    ResourceLimitError when that exceeds BRUTE_FORCE_CAP."""
+    n_comb = math.comb(n, k_ones)
+    if n_comb > BRUTE_FORCE_CAP:
+        raise ResourceLimitError(
+            f"solve_brute_force: C({n},{k_ones}) = {n_comb} subsets exceed the "
+            f"enumeration cap {BRUTE_FORCE_CAP}"
+        )
+    return n_comb
+
+
 def solve_brute_force(
     K: CellKernelMatrix, k_ones: int, mode: str = "all_subsets"
 ) -> CellSolveResult:
     """Exact minimizer over {0,1} profiles with k_ones ones.
 
-    mode "all_subsets" enumerates every k-subset of cells (capped at 1e7
-    combinations) in lexicographic order; near-ties keep the first subset
-    seen. mode "arcs_only" restricts to contiguous cyclic runs.
+    mode "all_subsets" covers every k-subset of cells (capped at 1e7
+    combinations). The energy is rotation invariant, so one subset per
+    rotation class is scored: its lexicographically smallest rotation,
+    which contains cell 0. Representatives are visited in lexicographic
+    order, and a subset replaces the incumbent only when it is lower by more
+    than 1e-12 * max(1, k_ones^2 * max|row|), so near-ties keep the subset
+    seen first. Energy and minimizer are those of a scan over all k-subsets
+    in lexicographic order; the minimizer is reported in its canonical
+    (smallest) rotation. ``iterations`` is still C(n, k_ones), the number
+    of subsets covered, not the number scored.
+    mode "arcs_only" restricts to contiguous cyclic runs.
     """
     n = K.n
     if not 0 <= k_ones <= n:
@@ -294,14 +315,8 @@ def solve_brute_force(
     row = K.first_row
     tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
     if mode == "all_subsets":
-        n_comb = math.comb(n, k_ones)
-        if n_comb > BRUTE_FORCE_CAP:
-            raise ResourceLimitError(
-                f"solve_brute_force: C({n},{k_ones}) = {n_comb} subsets exceed the "
-                f"enumeration cap {BRUTE_FORCE_CAP}"
-            )
+        iterations = enumeration_size(n, k_ones)
         raw, idx = _accel.brute_force_search(row, n, k_ones, tie_tol)
-        iterations = n_comb
     elif mode == "arcs_only":
         raw, idx = math.inf, np.zeros(0, dtype=np.int64)
         if k_ones == 0:

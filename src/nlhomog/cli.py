@@ -21,6 +21,7 @@ import numpy as np
 from . import acceptance
 from .cell import (
     build_cell_matrix,
+    enumeration_size,
     gamma_closed_form,
     optimal_profile,
     solve_brute_force,
@@ -87,7 +88,7 @@ DEFAULTS = {
     "eps": 0.03125,
     "eps_grid": [1.0 / m for m in (8, 16, 32, 64, 128, 256)],
     "M_grid": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-    "n": 256,
+    "n": None,  # cell grid; see _default_n
     "k_ones": 8,
     "method": "closed_form",
     "mode": "all_subsets",
@@ -100,6 +101,15 @@ DEFAULTS = {
     "seed": 20260809,
     "u": None,
 }
+
+
+def _default_n(command: str, cfg) -> int:
+    """Cell grid when none is given: 16 for the exhaustive paths, whose
+    enumeration must fit the cap, 256 elsewhere."""
+    exhaustive = command == "cell-verify" or (
+        command == "cell-solve" and cfg["method"] == "brute_force"
+    )
+    return 16 if exhaustive else 256
 
 
 def _resolve_config(args) -> dict:
@@ -119,6 +129,8 @@ def _resolve_config(args) -> dict:
         cfg["eps_grid"] = _parse_grid(cfg["eps_grid"])
     if isinstance(cfg["M_grid"], str):
         cfg["M_grid"] = _parse_grid(cfg["M_grid"])
+    if cfg["n"] is None:
+        cfg["n"] = _default_n(args.command, cfg)
     cfg["threads"] = int(os.environ.get("HOMOG_THREADS", cfg["threads"]))
     for field in ("difference_tol", "study_tol", "value_tol"):
         if cfg[field] <= 0:
@@ -234,6 +246,8 @@ def _cmd_cell_solve(cfg) -> int:
             "profile": res.profile.values.tolist(),
         }
     elif method == "brute_force":
+        if cfg["mode"] == "all_subsets":
+            enumeration_size(int(cfg["n"]), int(cfg["k_ones"]))
         K = build_cell_matrix(kern, int(cfg["n"]))
         res = solve_brute_force(K, int(cfg["k_ones"]), mode=cfg["mode"])
         result = {
@@ -257,10 +271,13 @@ def _cmd_cell_solve(cfg) -> int:
 def _cmd_cell_verify(cfg) -> int:
     kern = _kernel_from_config(cfg)
     n = int(cfg["n"])
+    ks = range(0, n + 1, max(1, n // 8))
+    for k in ks:
+        enumeration_size(n, k)
     K = build_cell_matrix(kern, n)
     rows = []
     all_equal = True
-    for k in range(0, n + 1, max(1, n // 8)):
+    for k in ks:
         r_all = solve_brute_force(K, k, mode="all_subsets")
         r_arc = solve_brute_force(K, k, mode="arcs_only")
         closed = gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], k / n)

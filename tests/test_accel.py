@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -12,10 +13,8 @@ from nlhomog import (
     _accel,
     make_lambda_kernel,
 )
-from nlhomog.cell import build_cell_matrix
+from nlhomog.cell import build_cell_matrix, solve_brute_force
 from nlhomog.energy import _level_structure, evaluate, evaluate_quadrature, rect_integral
-
-needs_numba = pytest.mark.skipif(not _accel.HAVE_NUMBA, reason="numba not installed")
 
 
 def _random_kernel(rng):
@@ -131,15 +130,71 @@ class TestQuadratureOracle:
         assert abs(direct - exact) <= quad.bound
 
 
-@needs_numba
-class TestPathAgreement:
-    def test_brute_force_same_minimizer(self):
-        K = build_cell_matrix(make_lambda_kernel(2.0, 1.0, 0.5), 12)
-        tol = 1e-12
-        ea, ia = _accel.brute_force_numba(K.first_row, 12, 5, tol)
-        eb, ib = _accel.brute_force_numpy(K.first_row, 12, 5, tol)
-        assert abs(ea - eb) <= 1e-10
-        assert np.array_equal(np.sort(ia), np.sort(ib))
+def _lexicographic_scan(row, n, k, tie_tol, chunk=4096):
+    """Reference search: every k-subset in lexicographic order, scored by the
+    same sum in the same order, replacing the incumbent only when better by
+    more than tie_tol."""
+    best = np.inf
+    best_idx = np.arange(k)
+    it = itertools.combinations(range(n), k)
+    while True:
+        block = list(itertools.islice(it, chunk))
+        if not block:
+            break
+        idx = np.array(block, dtype=np.int64)
+        s = np.zeros(len(block))
+        for a in range(k):
+            for b in range(k):
+                s += row[(idx[:, b] - idx[:, a]) % n]
+        for pos in np.nonzero(s < best - tie_tol)[0]:
+            if s[pos] < best - tie_tol:
+                best = float(s[pos])
+                best_idx = idx[pos]
+    return best, np.asarray(best_idx, dtype=np.int64)
+
+
+class TestSubsetSearch:
+    def test_representatives_are_smallest_rotations_in_order(self):
+        for n in range(1, 15):
+            for k in range(1, n + 1):
+                gaps = np.array(_accel.necklace_gaps(n, k)).reshape(-1, k)
+                assert np.all(gaps.sum(axis=1) == n)
+                starts = np.concatenate([np.zeros((gaps.shape[0], 1), int),
+                                         np.cumsum(gaps[:, :-1], axis=1)], axis=1)
+                expected = sorted({
+                    min(tuple(sorted((x - r) % n for x in S)) for r in range(n))
+                    for S in itertools.combinations(range(n), k)
+                })
+                assert [tuple(r) for r in starts] == expected, (n, k)
+
+    def test_large_grid_single_cell(self):
+        # n beyond the 16-bit gap range (C(n, 1) = n is within the cap)
+        n = 40_000
+        row = np.cos(np.arange(n))
+        energy, idx = _accel.brute_force_search(row, n, 1, 1e-12)
+        assert energy == row[0] and idx.tolist() == [0]
+
+    def test_solve_brute_force_matches_lexicographic_scan_bit_for_bit(self):
+        # tie kernels (alpha, beta in {1, 2}, lam in {1/4, 1/2}: many exactly
+        # equal sums) at n = 16, then random multi-segment kernels at n <= 16
+        kernels = [(make_lambda_kernel(a, b, lam), 16)
+                   for a in (1.0, 2.0) for b in (1.0, 2.0) for lam in (0.25, 0.5)]
+        rng = np.random.default_rng(20261018)
+        for case in range(292):
+            n = int(rng.integers(14, 17)) if case % 30 == 0 else int(rng.integers(2, 13))
+            kernels.append((_random_kernel(rng), n))
+        for kern, n in kernels:
+            K = build_cell_matrix(kern, n)
+            for k in range(n + 1):
+                res = solve_brute_force(K, k)
+                tie_tol = 1e-12 * max(1.0, k * k * float(np.max(np.abs(K.first_row))))
+                raw, idx = (_lexicographic_scan(K.first_row, n, k, tie_tol) if k
+                            else (0.0, np.zeros(0, dtype=np.int64)))
+                J = raw / (n * n)
+                t = k / n
+                assert res.energy == float(2.0 * J - 2.0 * K.abar * t + K.abar), (n, k)
+                assert res.extras["indices"] == np.sort(idx).tolist(), (n, k)
+                assert res.iterations == math.comb(n, k)
 
 
 class TestEnvFlag:

@@ -16,7 +16,7 @@ from nlhomog import (
     solve_brute_force,
     solve_relaxed,
 )
-from nlhomog.cell import is_cyclic_arc
+from nlhomog.cell import CellKernelMatrix, _spectral_norm, is_cyclic_arc
 
 PARAM_GRID = [
     (1.0, 2.0, 0.5),
@@ -138,6 +138,35 @@ class TestCellMatrix:
         dense = np.array([[K.entry(i, j) for j in range(n)] for i in range(n)])
         x = np.arange(n, dtype=float)
         assert np.allclose(K.matvec(x, use_fft=False), dense @ x, atol=1e-12)
+
+    def test_direct_matvec_equals_index_gather_bit_for_bit(self):
+        # the reference builds the same dense matrix through an int64 index
+        # matrix; the same matrix and the same BLAS product give equal bits
+        rng = np.random.default_rng(11)
+        for n in list(range(2, 65)) + list(range(65, 1023, 53)) + [1023]:
+            K = CellKernelMatrix(n=n, first_row=rng.uniform(0.5, 3.0, n), abar=1.0)
+            x = rng.standard_normal(n)
+            idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+            assert np.array_equal(K.matvec(x, use_fft=False), K.first_row[idx] @ x), n
+
+    def test_spectral_norm_equals_largest_eigenvalue(self):
+        kernels = [
+            make_lambda_kernel(1.0, 2.0, 0.5),
+            make_lambda_kernel(3.0, 0.5, 0.62),
+            PeriodicStepKernel([0.0, 0.2, 0.5], [1.0, 3.0, 2.0]),  # asymmetric
+            PeriodicStepKernel([0.0], [1.7]),
+        ]
+        # a positive kernel's largest eigenvalue is its row sum; signed random
+        # rows put the largest one at a complex frequency
+        rng = np.random.default_rng(7)
+        matrices = [build_cell_matrix(k, n) for k in kernels for n in (2, 7, 16, 64, 129)]
+        matrices += [CellKernelMatrix(n=n, first_row=rng.standard_normal(n), abar=0.0)
+                     for n in (2, 3, 7, 16, 64, 129) for _ in range(3)]
+        for K in matrices:
+            n = K.n
+            dense = K.first_row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+            exact = float(np.max(np.abs(np.linalg.eigvals(dense)))) / (n * n)
+            assert _spectral_norm(K) == pytest.approx(exact, rel=1e-12, abs=0.0), K.first_row
 
 
 class TestCellEnergy:

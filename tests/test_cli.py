@@ -1,9 +1,11 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from nlhomog import StepFunction, TripleWellPotential, evaluate, make_lambda_kernel
+from nlhomog import cli
 from nlhomog.cli import dispatch
 
 
@@ -138,6 +140,62 @@ class TestCellCommands:
         assert rc == 2
         report = read_json(tmp_path / "cell_verify.json")
         assert report["result"]["exhaustive_equals_arcs_everywhere"] is False
+
+
+class TestDefaultConfigs:
+    """Every subcommand runs with its default config (energy needs its input
+    file, which has no default) and writes its report to the working directory."""
+
+    @pytest.mark.parametrize(
+        "argv,report,rc",
+        [
+            (["energy"], "energy.json", 0),
+            (["gamma-table"], "gamma_table.json", 0),
+            (["cell-solve"], "cell_solve.json", 0),
+            (["cell-solve", "--method", "projected_gradient"], "cell_solve.json", 0),
+            (["cell-solve", "--method", "brute_force"], "cell_solve.json", 0),
+            (["cell-verify"], "cell_verify.json", 0),
+            (["gamma-limit"], "gamma_limit.json", 0),
+            (["two-scale"], "two_scale.json", 0),
+            (["non-rep"], "non_rep.json", 0),
+            (["fm-threshold"], "fm_threshold.json", 0),
+            (["reproduce-all"], "reproduce_all.json", 2),  # criteria 2 and 3 fail on purpose
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+    )
+    def test_runs_with_defaults(self, tmp_path, monkeypatch, argv, report, rc):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "energy":
+            Path("u.json").write_text(json.dumps(StepFunction([0.0, 0.5], [0.0, 1.0]).to_json()))
+            argv = argv + ["--u", "u.json"]
+        assert dispatch(argv) == rc
+        assert (tmp_path / report).exists()
+
+    def test_exhaustive_paths_default_to_n_16(self, tmp_path):
+        for argv in (["cell-verify"], ["cell-solve", "--method", "brute_force"]):
+            dispatch(argv + ["--output-dir", str(tmp_path)])
+        assert read_json(tmp_path / "cell_verify.json")["config"]["n"] == 16
+        res = read_json(tmp_path / "cell_solve.json")
+        assert res["config"]["n"] == 16
+        assert res["result"]["subsets_examined"] == 12870  # C(16, 8)
+        dispatch(["cell-solve", "--method", "projected_gradient", "--output-dir", str(tmp_path)])
+        assert read_json(tmp_path / "cell_solve.json")["config"]["n"] == 256
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cell-verify", "--n", "40"],
+            ["cell-solve", "--method", "brute_force", "--n", "40", "--k-ones", "20"],
+        ],
+    )
+    def test_enumeration_cap_checked_before_work(self, tmp_path, monkeypatch, capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("cell matrix built before the cap check")
+
+        monkeypatch.setattr(cli, "build_cell_matrix", no_work)
+        assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 1
+        assert "enumeration cap" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestCertificateCommands:
