@@ -25,6 +25,8 @@ from .cell import (
 )
 from .energy import evaluate, evaluate_quadrature
 from .gammalab import (
+    DEFAULT_EPS_GRID,
+    DEFAULT_M_GRID,
     fM_threshold_experiment,
     gamma_limit_constant_value,
     non_representability_certificate,
@@ -36,8 +38,6 @@ from .gammalab import (
 from .kernel import PeriodicStepKernel, make_lambda_kernel
 from .states import StepFunction, TripleWellPotential, oscillating_profile
 from .util import serial_map
-
-EPS_GRID = tuple(1.0 / m for m in (8, 16, 32, 64, 128, 256))
 
 
 @dataclass
@@ -156,9 +156,9 @@ def criterion_3_discrete_to_continuum(**_) -> CriterionResult:
 
 
 def criterion_4_gamma_limit_convergence(pmap: Optional[Callable] = None, **_) -> CriterionResult:
-    study = run_recovery_study(0.0, 1.0, 2.0, 0.5, EPS_GRID, pmap=pmap)
+    study = run_recovery_study(0.0, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID, pmap=pmap)
     ok_conv = study.final_error <= 1e-2
-    flat = run_flat_study(0.0, 1.0, 2.0, 0.5, EPS_GRID, pmap=pmap)
+    flat = run_flat_study(0.0, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID, pmap=pmap)
     flat_errs = [abs(v - 1.5) for v in flat.values]
     ok_flat = max(flat_errs) <= 1e-10
     return CriterionResult(
@@ -173,22 +173,25 @@ def criterion_4_gamma_limit_convergence(pmap: Optional[Callable] = None, **_) ->
     )
 
 
+def _random_breakpoints(rng: np.random.Generator, max_pieces: int) -> np.ndarray:
+    """0, then 1 to max_pieces - 1 sorted draws from (0.05, 0.95), dropping
+    any within 1e-3 of its predecessor."""
+    pieces = int(rng.integers(2, max_pieces + 1))
+    inner = np.sort(rng.uniform(0.05, 0.95, pieces - 1))
+    inner = inner[np.concatenate([[True], np.diff(inner) > 1e-3])]
+    return np.concatenate([[0.0], inner])
+
+
 def _random_kernel(rng: np.random.Generator, constant: bool) -> PeriodicStepKernel:
     if constant:
         return PeriodicStepKernel([0.0], [float(rng.uniform(0.5, 3.0))])
-    nseg = int(rng.integers(2, 6))
-    inner = np.sort(rng.uniform(0.05, 0.95, nseg - 1))
-    inner = inner[np.concatenate([[True], np.diff(inner) > 1e-3])]
-    bp = np.concatenate([[0.0], inner])
+    bp = _random_breakpoints(rng, 5)
     vals = rng.uniform(0.5, 3.0, bp.size)
     return PeriodicStepKernel(bp, vals)
 
 
 def _random_step_function(rng: np.random.Generator, admissible: bool) -> StepFunction:
-    npts = int(rng.integers(2, 9))
-    inner = np.sort(rng.uniform(0.05, 0.95, npts - 1))
-    inner = inner[np.concatenate([[True], np.diff(inner) > 1e-3])]
-    bp = np.concatenate([[0.0], inner])
+    bp = _random_breakpoints(rng, 8)
     z = float(rng.uniform(-1.0, 1.0))
     if admissible:
         vals = z + rng.integers(0, 2, bp.size).astype(float)
@@ -240,7 +243,7 @@ def criterion_6_step_target_limit(pmap: Optional[Callable] = None, **_) -> Crite
     rows = {}
     ok = True
     for s in (0.25, 0.5):
-        study = run_step_study(s, 1.0, 2.0, 0.5, EPS_GRID, pmap=pmap)
+        study = run_step_study(s, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID, pmap=pmap)
         rows[str(s)] = study.to_json()
         ok &= study.final_error <= 1e-2
         ok &= abs(study.limit_ref - step_limit_value(s, 1.0, 2.0, 0.5)) <= 1e-12
@@ -257,7 +260,7 @@ def criterion_6_step_target_limit(pmap: Optional[Callable] = None, **_) -> Crite
 
 def criterion_7_non_representability(pmap: Optional[Callable] = None, **_) -> CriterionResult:
     cert = non_representability_certificate(
-        1.0, 2.0, 0.5, s1=0.5, s2=0.25, tol=1e-3, eps_grid=EPS_GRID, pmap=pmap
+        1.0, 2.0, 0.5, s1=0.5, s2=0.25, tol=1e-3, eps_grid=DEFAULT_EPS_GRID, pmap=pmap
     )
     p = cert.payload
     ok = (
@@ -276,8 +279,9 @@ def criterion_7_non_representability(pmap: Optional[Callable] = None, **_) -> Cr
 
 
 def criterion_8_capped_potential(pmap: Optional[Callable] = None, **_) -> CriterionResult:
-    M_grid = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=1.0 / 32.0, M_grid=M_grid, pmap=pmap)
+    cert = fM_threshold_experiment(
+        1.0, 2.0, 0.5, eps=1.0 / 32.0, M_grid=DEFAULT_M_GRID, pmap=pmap
+    )
     kern = make_lambda_kernel(1.0, 2.0, 0.5)
     admissible = [
         oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / 32.0),
@@ -287,7 +291,7 @@ def criterion_8_capped_potential(pmap: Optional[Callable] = None, **_) -> Criter
     agree_gap = 0.0
     for u in admissible:
         ref = evaluate(u, TripleWellPotential(), kern, 1.0 / 32.0).value
-        for M in M_grid:
+        for M in DEFAULT_M_GRID:
             capped = evaluate(u, TripleWellPotential(cap=M), kern, 1.0 / 32.0).value
             agree_gap = max(agree_gap, abs(capped - ref))
     ok = cert.verdict == "confirmed" and agree_gap <= 1e-12

@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
 from .energy import rect_integral
-from .kernel import PeriodicStepKernel
+from .kernel import PeriodicStepKernel, check_lambda_parameters
+from .states import Arc
 from .util import ResourceLimitError
-
-Arc = Tuple[float, float]
 
 BRUTE_FORCE_CAP = 10_000_000
 FFT_MATVEC_THRESHOLD = 1024
@@ -44,10 +43,7 @@ def gamma_closed_form(alpha: float, beta: float, lam: float, t: float) -> float:
     Branches join continuously at t = lam/2 and t = 1 - lam/2; the formula is
     symmetric under t -> 1 - t and equals the weight mean at t in {0, 1}.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
+    check_lambda_parameters(alpha, beta, lam)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     abar = lam * alpha + (1.0 - lam) * beta
@@ -275,10 +271,6 @@ def solve_relaxed(
     )
 
 
-def _arc_indices(n: int, k_ones: int, r: int) -> np.ndarray:
-    return (r + np.arange(k_ones)) % n
-
-
 def enumeration_size(n: int, k_ones: int) -> int:
     """C(n, k_ones), the subsets an all-subsets search covers; raises
     ResourceLimitError when that exceeds BRUTE_FORCE_CAP."""
@@ -306,28 +298,23 @@ def solve_brute_force(
     in lexicographic order; the minimizer is reported in its canonical
     (smallest) rotation. ``iterations`` is still C(n, k_ones), the number
     of subsets covered, not the number scored.
-    mode "arcs_only" restricts to contiguous cyclic runs.
+    mode "arcs_only" restricts to contiguous cyclic runs. Every rotation of
+    an arc gives the same offsets (j - i) mod n, hence the same sum, so only
+    the arc at cell 0 is scored; ``iterations`` is n, the arcs covered (1
+    when k_ones is 0).
     """
     n = K.n
     if not 0 <= k_ones <= n:
         raise ValueError("k_ones must lie in [0, n]")
     t = k_ones / n
     row = K.first_row
-    tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
     if mode == "all_subsets":
+        tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
         iterations = enumeration_size(n, k_ones)
         raw, idx = _accel.brute_force_search(row, n, k_ones, tie_tol)
     elif mode == "arcs_only":
-        raw, idx = math.inf, np.zeros(0, dtype=np.int64)
-        if k_ones == 0:
-            raw = 0.0
-        else:
-            for r in range(n):
-                cand = _arc_indices(n, k_ones, r)
-                d = (cand[None, :] - cand[:, None]) % n
-                s = float(np.sum(row[d]))
-                if s < raw - tie_tol:
-                    raw, idx = s, cand
+        idx = np.arange(k_ones)
+        raw = float(np.sum(row[(idx[None, :] - idx[:, None]) % n]))
         iterations = n if k_ones else 1
     else:
         raise ValueError(f"unknown mode {mode!r}")

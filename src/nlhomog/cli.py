@@ -29,6 +29,8 @@ from .cell import (
 )
 from .energy import evaluate, evaluate_quadrature
 from .gammalab import (
+    DEFAULT_EPS_GRID,
+    DEFAULT_M_GRID,
     fM_threshold_experiment,
     non_representability_certificate,
     run_flat_study,
@@ -86,8 +88,8 @@ DEFAULTS = {
     "s1": 0.5,
     "s2": 0.25,
     "eps": 0.03125,
-    "eps_grid": [1.0 / m for m in (8, 16, 32, 64, 128, 256)],
-    "M_grid": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+    "eps_grid": list(DEFAULT_EPS_GRID),
+    "M_grid": list(DEFAULT_M_GRID),
     "n": None,  # cell grid; see _default_n
     "k_ones": 8,
     "method": "closed_form",
@@ -170,7 +172,8 @@ def _step_function_from_config(cfg) -> StepFunction:
     return StepFunction.from_json(json.loads(path.read_text()))
 
 
-def _emit(cfg, command: str, result: dict, out_json: str) -> Path:
+def _emit(cfg, command: str, result: dict, out_json: str, csv=None) -> Path:
+    """Write the JSON report and, given csv = (header, rows), <stem>.csv."""
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     # threads and output_dir are execution environment, not experiment inputs;
@@ -184,6 +187,8 @@ def _emit(cfg, command: str, result: dict, out_json: str) -> Path:
     }
     path = outdir / out_json
     dump_json(report, path)
+    if csv is not None:
+        write_csv(path.with_suffix(".csv"), *csv)
     return path
 
 
@@ -213,11 +218,10 @@ def _cmd_energy(cfg) -> int:
 def _cmd_gamma_table(cfg) -> int:
     ts = np.linspace(0.0, 1.0, int(cfg["t_steps"]))
     gammas = [gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], t) for t in ts]
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "gamma_table.csv", ["t", "gamma"], zip(ts, gammas))
     result = {"t": list(map(float, ts)), "gamma": gammas, "argmin_t": float(ts[int(np.argmin(gammas))])}
-    path = _emit(cfg, "gamma-table", result, "gamma_table.json")
+    path = _emit(
+        cfg, "gamma-table", result, "gamma_table.json", (["t", "gamma"], zip(ts, gammas))
+    )
     print(
         f"Cell-problem closed form on {len(ts)} volume fractions for "
         f"(alpha={cfg['alpha']:g}, beta={cfg['beta']:g}, lambda={cfg['lambda']:g}): "
@@ -292,15 +296,10 @@ def _cmd_cell_verify(cfg) -> int:
                 "exhaustive_equals_arcs": equal,
             }
         )
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        outdir / "cell_verify.csv",
-        ["k", "all_subsets_min", "arcs_only_min", "closed_form_arc_value", "exhaustive_equals_arcs"],
-        [[r["k"], r["all_subsets_min"], r["arcs_only_min"], r["closed_form_arc_value"], r["exhaustive_equals_arcs"]] for r in rows],
-    )
     result = {"n": n, "rows": rows, "exhaustive_equals_arcs_everywhere": all_equal}
-    path = _emit(cfg, "cell-verify", result, "cell_verify.json")
+    header = ["k", "all_subsets_min", "arcs_only_min", "closed_form_arc_value", "exhaustive_equals_arcs"]
+    csv = (header, [[r[h] for h in header] for r in rows])
+    path = _emit(cfg, "cell-verify", result, "cell_verify.json", csv)
     print(
         f"Exhaustive search vs arcs on the n={n} grid: "
         + ("arcs are optimal at every tested filling." if all_equal else
@@ -318,18 +317,15 @@ def _cmd_gamma_limit(cfg, pmap) -> int:
     flat = run_flat_study(
         cfg["c"], cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["eps_grid"], pmap=pmap
     )
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        outdir / "gamma_limit.csv",
+    result = {"recovery_study": study.to_json(), "flat_study": flat.to_json()}
+    csv = (
         ["eps", "oscillating_value", "oscillating_abs_error", "flat_value"],
         [
             [e, v, abs(v - study.limit_ref), fv]
             for e, v, fv in zip(study.eps_grid, study.values, flat.values)
         ],
     )
-    result = {"recovery_study": study.to_json(), "flat_study": flat.to_json()}
-    path = _emit(cfg, "gamma-limit", result, "gamma_limit.json")
+    path = _emit(cfg, "gamma-limit", result, "gamma_limit.json", csv)
     print(
         f"Finite-eps energies of the oscillating profile converge to "
         f"{study.limit_ref:.12g} (final error {study.final_error:.3g}), while the flat "
@@ -357,15 +353,12 @@ def _cmd_two_scale(cfg, pmap) -> int:
         return two_scale_pairing(chi, psi1, psi2, eps)
 
     values = pmap(one, list(cfg["eps_grid"]))
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        outdir / "two_scale.csv",
+    result = {"eps_grid": list(cfg["eps_grid"]), "pairing": list(map(float, values)), "limit": limit}
+    csv = (
         ["eps", "pairing", "limit", "abs_error"],
         [[e, v, limit, abs(v - limit)] for e, v in zip(cfg["eps_grid"], values)],
     )
-    result = {"eps_grid": list(cfg["eps_grid"]), "pairing": list(map(float, values)), "limit": limit}
-    path = _emit(cfg, "two-scale", result, "two_scale.json")
+    path = _emit(cfg, "two-scale", result, "two_scale.json", csv)
     err = max(abs(v - limit) for v in values)
     print(
         f"Two-scale pairing of the oscillating indicator against the weight converges to "
@@ -406,14 +399,11 @@ def _cmd_fm_threshold(cfg, pmap) -> int:
         M_grid=cfg["M_grid"],
         pmap=pmap,
     )
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        outdir / "fm_threshold.csv",
+    csv = (
         ["M", "all_strictly_worse"] + [f"deviation_{i}" for i in range(cert.payload["n_deviation_profiles"])],
         [[r["M"], r["all_strictly_worse"]] + r["deviation_energies"] for r in cert.payload["rows"]],
     )
-    path = _emit(cfg, "fm-threshold", cert.to_json(), "fm_threshold.json")
+    path = _emit(cfg, "fm-threshold", cert.to_json(), "fm_threshold.json", csv)
     thr = cert.payload["threshold_M"]
     print(
         f"Capped-potential sweep at eps={cfg['eps']:g}: deviating profiles are strictly "

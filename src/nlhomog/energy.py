@@ -35,8 +35,9 @@ z = -1/2, -0.2 on x86-64:
 
 tests/test_energy.py::TestErrorBudget holds 1/eps = 2^14 and 2^16 to 1e-12.
 At 1/eps = 1e6 the profile builds in ~0.2 s and evaluates in ~1.7 s on one
-core of a 2-vCPU VM (peak RSS ~0.7 GB). ``MAX_INTERVALS`` (shared with
-profile construction) admits it and 1/eps = 2^20.
+core of a 2-vCPU VM (peak RSS ~0.7 GB). ``util.MAX_INTERVALS``, the one
+interval cap of profile construction, the evaluator and the quadrature grid,
+admits it and 1/eps = 2^20.
 """
 
 from __future__ import annotations
@@ -46,13 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
+from . import _accel, util
 from .kernel import PERIODIC_REDUCTION_RANGE, PeriodicStepKernel
 from .states import DEFAULT_VALUE_TOL, StepFunction, TripleWellPotential
-from .util import MAX_INTERVALS, ArgumentRangeError, ResourceLimitError
-
-# refined-grid cells of the quadrature; the same circle sum as the evaluator
-MAX_QUADRATURE_CELLS = MAX_INTERVALS
+from .util import ArgumentRangeError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -91,26 +89,9 @@ def rect_integral(
     return k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per
 
 
-def potential_weights(
-    values: np.ndarray, p: TripleWellPotential, tol: float
-) -> np.ndarray:
-    """Matrix f(v_i - v_j) over a vector of levels, with well snapping.
-
-    Matches eval_potential elementwise: the increment snaps to the nearest of
-    {-1, 0, 1} when within tol (ties to the first of -1, 0, 1 in that order).
-    """
-    d = values[:, None] - values[None, :]
-    dists = np.stack([np.abs(d + 1.0), np.abs(d), np.abs(d - 1.0)])
-    nearest = np.argmin(dists, axis=0)
-    snapped = np.take_along_axis(dists, nearest[None], axis=0)[0] <= tol
-    well_cost = np.where(nearest == 1, 1.0, 0.0)
-    off_cost = math.inf if p.cap is None else float(p.cap)
-    return np.where(snapped, well_cost, off_cost)
-
-
 def _level_structure(u: StepFunction, p: TripleWellPotential, tol: float):
     levels, level_idx = np.unique(u.values, return_inverse=True)
-    wl = potential_weights(levels, p, tol)
+    wl = p.value(levels[:, None] - levels[None, :], tol)
     return wl, level_idx.astype(np.int64)
 
 
@@ -129,8 +110,8 @@ def evaluate(
     if 1.0 / eps > PERIODIC_REDUCTION_RANGE:
         raise ArgumentRangeError("1/eps exceeds the periodic reduction range")
     P = u.values.shape[0]
-    if P > MAX_INTERVALS:
-        raise ResourceLimitError(f"evaluate: {P} intervals exceed the cap {MAX_INTERVALS}")
+    if P > util.MAX_INTERVALS:
+        raise ResourceLimitError(f"evaluate: {P} intervals exceed the cap {util.MAX_INTERVALS}")
     wl, level_idx = _level_structure(u, p, value_tol)
     # every level occurs on some interval, so an infinite entry anywhere in
     # the level matrix is hit by a positive-area pair
@@ -162,7 +143,7 @@ def evaluate_quadrature(
 
     For a constant weight the bound is pure float slack and the quadrature
     agrees with the exact evaluator to rounding. The refined grid has at most
-    n + P cells; more than ``MAX_QUADRATURE_CELLS`` fails before anything is
+    n + P cells; more than ``util.MAX_INTERVALS`` fails before anything is
     allocated.
     """
     if n < 2:
@@ -170,10 +151,10 @@ def evaluate_quadrature(
     if eps <= 0:
         raise ValueError("eps must be positive")
     cells = n + u.values.shape[0]
-    if cells > MAX_QUADRATURE_CELLS:
+    if cells > util.MAX_INTERVALS:
         raise ResourceLimitError(
             f"evaluate_quadrature: up to {cells} grid cells (n = {n}) exceed the cap "
-            f"{MAX_QUADRATURE_CELLS}"
+            f"{util.MAX_INTERVALS}"
         )
     wl, level_idx = _level_structure(u, p, value_tol)
     if np.any(np.isinf(wl)):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cell import gamma_closed_form, optimal_profile
 from .energy import evaluate
-from .kernel import PeriodicStepFunction, make_lambda_kernel
+from .kernel import PeriodicStepFunction, check_lambda_parameters, make_lambda_kernel
 from .states import (
     StepFunction,
     TripleWellPotential,
@@ -29,6 +29,7 @@ from .states import (
 from .util import serial_map
 
 DEFAULT_EPS_GRID = tuple(1.0 / m for m in (8, 16, 32, 64, 128, 256))
+DEFAULT_M_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 # below this absolute error a study point counts as converged to roundoff and
 # is excluded from rate fitting (whole-period grids hit the limit exactly)
@@ -85,10 +86,7 @@ def gamma_limit_constant_value(alpha: float, beta: float, lam: float) -> float:
     Identical to the cell minimum at volume fraction 1/2; both are evaluated
     and cross-checked here.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
+    check_lambda_parameters(alpha, beta, lam)
     one_m = (1.0 - lam) ** 2
     val = ((1.0 - one_m) * alpha + one_m * beta) / 2.0
     cell_val = gamma_closed_form(alpha, beta, lam, 0.5)
@@ -169,6 +167,20 @@ def _whole_period_notes(eps_grid):
     return notes
 
 
+def _energy_study(profile_of_eps, alpha, beta, lam, eps_grid, limit_ref, pmap):
+    """Exact energies of profile_of_eps(eps) under the uncapped potential and
+    the (alpha, beta, lam) weight, one per eps, as a study against limit_ref."""
+    pmap = pmap or serial_map
+    kern = make_lambda_kernel(alpha, beta, lam)
+    pot = TripleWellPotential()
+
+    def one(eps):
+        return evaluate(profile_of_eps(eps), pot, kern, eps).value
+
+    values = pmap(one, list(eps_grid))
+    return _make_study(eps_grid, values, limit_ref, _whole_period_notes(eps_grid))
+
+
 def run_recovery_study(
     c: float,
     alpha: float,
@@ -183,18 +195,11 @@ def run_recovery_study(
     limit to roundoff at every eps; non-integer 1/eps is allowed but noted,
     since boundary layers then contaminate the rate fit.
     """
-    pmap = pmap or serial_map
-    kern = make_lambda_kernel(alpha, beta, lam)
-    pot = TripleWellPotential()
     arcs = optimal_profile(0.5)
-    limit_ref = gamma_limit_constant_value(alpha, beta, lam)
-
-    def one(eps):
-        u = oscillating_profile(c - 0.5, arcs, eps)
-        return evaluate(u, pot, kern, eps).value
-
-    values = pmap(one, list(eps_grid))
-    return _make_study(eps_grid, values, limit_ref, _whole_period_notes(eps_grid))
+    return _energy_study(
+        lambda eps: oscillating_profile(c - 0.5, arcs, eps),
+        alpha, beta, lam, eps_grid, gamma_limit_constant_value(alpha, beta, lam), pmap,
+    )
 
 
 def run_flat_study(
@@ -207,16 +212,9 @@ def run_flat_study(
 ) -> ConvergenceStudy:
     """Energies of the constant (non-oscillating) sequence u == c: these stay
     at the full mean weight, strictly above the homogenized value."""
-    pmap = pmap or serial_map
-    kern = make_lambda_kernel(alpha, beta, lam)
-    pot = TripleWellPotential()
     u = StepFunction.constant(c)
-
-    def one(eps):
-        return evaluate(u, pot, kern, eps).value
-
-    values = pmap(one, list(eps_grid))
-    return _make_study(eps_grid, values, kern.table.mean, _whole_period_notes(eps_grid))
+    mean = make_lambda_kernel(alpha, beta, lam).table.mean
+    return _energy_study(lambda eps: u, alpha, beta, lam, eps_grid, mean, pmap)
 
 
 def run_step_study(
@@ -229,17 +227,9 @@ def run_step_study(
 ) -> ConvergenceStudy:
     """Energies of the fixed single-jump target at shrinking eps (constant
     sequence in eps; the oscillating weight averages out)."""
-    pmap = pmap or serial_map
-    kern = make_lambda_kernel(alpha, beta, lam)
-    pot = TripleWellPotential()
     u = StepFunction([0.0, s], [1.0, 0.0])
     limit_ref = step_limit_value(s, alpha, beta, lam)
-
-    def one(eps):
-        return evaluate(u, pot, kern, eps).value
-
-    values = pmap(one, list(eps_grid))
-    return _make_study(eps_grid, values, limit_ref, _whole_period_notes(eps_grid))
+    return _energy_study(lambda eps: u, alpha, beta, lam, eps_grid, limit_ref, pmap)
 
 
 def two_scale_pairing(
@@ -372,7 +362,7 @@ def fM_threshold_experiment(
     beta: float,
     lam: float,
     eps: float,
-    M_grid: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
+    M_grid: Sequence[float] = DEFAULT_M_GRID,
     deviation_profiles: Optional[Sequence[StepFunction]] = None,
     pmap: Optional[Callable] = None,
 ) -> Certificate:

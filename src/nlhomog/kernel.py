@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import StepFunction
 from .util import ArgumentRangeError
 
 # Beyond this the fractional part of a float64 argument has fewer than ~4
@@ -28,53 +29,24 @@ from .util import ArgumentRangeError
 PERIODIC_REDUCTION_RANGE = 1e12
 
 
-def _validate_breakpoints(breakpoints: np.ndarray) -> None:
-    if breakpoints.ndim != 1 or breakpoints.size == 0:
-        raise ValueError("breakpoints must be a non-empty 1-d sequence")
-    if breakpoints[0] != 0.0:
-        raise ValueError("first breakpoint must be 0")
-    if breakpoints[-1] >= 1.0:
-        raise ValueError("breakpoints must lie in [0, 1)")
-    if np.any(np.diff(breakpoints) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
-
-
-class PeriodicStepFunction:
+class PeriodicStepFunction(StepFunction):
     """Real-valued step function on the unit circle (no sign restriction).
 
+    A ``StepFunction`` on [0, 1) (same storage, checks and JSON form)
+    extended 1-periodically: ``eval`` reduces its argument mod 1 first.
     Segments are left-closed/right-open; the value at a breakpoint comes from
     the segment starting there, which makes evaluation deterministic.
     """
 
-    def __init__(self, breakpoints, values):
-        bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        _validate_breakpoints(bp)
-        if vals.shape != bp.shape:
-            raise ValueError("values must match breakpoints in length")
-        self.breakpoints = bp
-        self.values = vals
-        self.segment_lengths = np.diff(np.append(bp, 1.0))
-
     def eval(self, t):
         """a(t mod 1); accepts scalars or arrays."""
         t = np.asarray(t, dtype=float)
-        u = t - np.floor(t)
-        idx = np.searchsorted(self.breakpoints, u, side="right") - 1
-        out = self.values[idx]
-        return float(out) if out.ndim == 0 else out
+        return super().eval(t - np.floor(t))
 
     __call__ = eval
 
     def mean(self) -> float:
-        return float(np.dot(self.values, self.segment_lengths))
-
-    def to_json(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PeriodicStepFunction":
-        return cls(obj["breakpoints"], obj["values"])
+        return float(np.dot(self.values, self.lengths))
 
 
 @dataclass(frozen=True)
@@ -86,7 +58,6 @@ class AntiderivativeTable:
     """
 
     mean: float
-    A_at_breakpoints: np.ndarray  # A(b_i) with A(t) = integral of a over [0, t]
     b1: float                     # linear coefficient, = int_0^1 A  -  mean/2
     q0: np.ndarray
     q1: np.ndarray
@@ -101,14 +72,14 @@ def _build_antiderivative_table(bp: np.ndarray, vals: np.ndarray) -> Antiderivat
     B_nodes = np.concatenate([[0.0], np.cumsum(B_incr)])          # B(b_i), B(1) = int_0^1 A
     mean = float(A_nodes[-1])
     b1 = float(B_nodes[-1] - 0.5 * mean)
-    A_i = A_nodes[:-1]
+    A_i = A_nodes[:-1]  # A(b_i) with A(t) = integral of a over [0, t]
     B_i = B_nodes[:-1]
     q0 = B_i - 0.5 * mean * bp * bp - b1 * bp
     q1 = A_i - mean * bp - b1
     q2 = 0.5 * (vals - mean)
     # B_per(0) must be exactly 0 so whole-period corner arguments cancel exactly
     q0[0] = 0.0
-    return AntiderivativeTable(mean=mean, A_at_breakpoints=A_i, b1=b1, q0=q0, q1=q1, q2=q2)
+    return AntiderivativeTable(mean=mean, b1=b1, q0=q0, q1=q1, q2=q2)
 
 
 class PeriodicStepKernel(PeriodicStepFunction):
@@ -150,9 +121,13 @@ class PeriodicStepKernel(PeriodicStepFunction):
         """|value jumps| at each breakpoint, wrap-around included."""
         return np.abs(self.values - np.roll(self.values, 1))
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PeriodicStepKernel":
-        return cls(obj["breakpoints"], obj["values"])
+
+def check_lambda_parameters(alpha: float, beta: float, lam: float) -> None:
+    """The two-value weight's domain: alpha, beta > 0 and 0 < lam < 1."""
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
 
 
 def make_lambda_kernel(alpha: float, beta: float, lam: float) -> PeriodicStepKernel:
@@ -162,10 +137,7 @@ def make_lambda_kernel(alpha: float, beta: float, lam: float) -> PeriodicStepKer
     the beta band an arc of measure ``1-lam`` centered at 1/2, so the weight
     is symmetric about 1/2. Mean is lam*alpha + (1-lam)*beta.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
+    check_lambda_parameters(alpha, beta, lam)
     return PeriodicStepKernel([0.0, lam / 2.0, 1.0 - lam / 2.0], [alpha, beta, alpha])
 
 

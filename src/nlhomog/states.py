@@ -15,10 +15,10 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .util import MAX_INTERVALS, ResourceLimitError
+from . import util
+from .util import ResourceLimitError
 
 DEFAULT_VALUE_TOL = 1e-12
-DEFAULT_BREAKPOINT_CAP = MAX_INTERVALS
 
 Arc = Tuple[float, float]
 
@@ -100,15 +100,21 @@ class TripleWellPotential:
     def kind(self) -> str:
         return "infinite" if self.cap is None else "capped"
 
-    def value(self, z: float, tol: float = 0.0) -> float:
+    def value(self, z, tol: float = 0.0):
+        """f(z) with well snapping, for a scalar or an array z.
+
+        z counts as the nearest of the wells -1, 0, 1 (ties to the first in
+        that order) when within tol of it; a scalar z gives a float.
+        """
         if tol < 0:
             raise ValueError("tol must be >= 0")
-        wells = (-1.0, 0.0, 1.0)
-        dists = [abs(z - w) for w in wells]
-        i = int(np.argmin(dists))
-        if dists[i] <= tol or z == wells[i]:
-            return 0.0 if wells[i] != 0.0 else 1.0
-        return math.inf if self.cap is None else float(self.cap)
+        z = np.asarray(z, dtype=float)
+        dists = np.stack([np.abs(z + 1.0), np.abs(z), np.abs(z - 1.0)])
+        nearest = np.argmin(dists, axis=0)
+        snapped = np.min(dists, axis=0) <= tol
+        off_cost = math.inf if self.cap is None else float(self.cap)
+        out = np.where(snapped, np.where(nearest == 1, 1.0, 0.0), off_cost)
+        return float(out) if out.ndim == 0 else out
 
     def to_json(self) -> dict:
         if self.cap is None:
@@ -243,12 +249,7 @@ def _arcs_from_indicator(profile) -> list:
     return arcs
 
 
-def oscillating_profile(
-    z: float,
-    arcs,
-    eps: float,
-    max_breakpoints: Optional[int] = None,
-) -> StepFunction:
+def oscillating_profile(z: float, arcs, eps: float) -> StepFunction:
     """The step function x -> z + chi_arcs(x/eps mod 1) on (0,1).
 
     The indicator's support within the unit cell is given either as a list of
@@ -256,8 +257,7 @@ def oscillating_profile(
     attribute). Intervals of equal value arising across period boundaries are
     merged, so the breakpoint count is at most 2*runs/eps + 2, where runs is
     the number of cyclic runs of the indicator. That estimate is checked
-    against ``max_breakpoints`` (default ``DEFAULT_BREAKPOINT_CAP``) before
-    anything is built.
+    against ``util.MAX_INTERVALS`` before anything is built.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -268,7 +268,7 @@ def oscillating_profile(
     # cyclic runs of the indicator; an arc ending at 1 continues one at 0
     runs = len(arcs) - int(bool(arcs) and arcs[0][0] == 0.0 and arcs[-1][1] == 1.0)
     est = 2 * max(runs, 1) * n_periods + 2
-    cap = DEFAULT_BREAKPOINT_CAP if max_breakpoints is None else max_breakpoints
+    cap = util.MAX_INTERVALS
     if est > cap:
         raise ResourceLimitError(
             f"oscillating_profile: ~{est} breakpoints at 1/eps = {1.0 / eps:.6g} "

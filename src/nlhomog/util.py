@@ -80,10 +80,6 @@ def dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def json_str(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2)
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """CSV with floats at 17 significant digits (value-preserving round trip)."""
 

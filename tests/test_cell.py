@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,28 @@ from nlhomog import (
     solve_relaxed,
 )
 from nlhomog.cell import CellKernelMatrix, _spectral_norm, is_cyclic_arc
+
+
+def _all_rotation_arcs(K, k_ones):
+    """Slow oracle of the arcs-only search: score the arc at every rotation,
+    keep a rotation only when it is lower by more than the tie tolerance.
+    Returns (energy, sorted indices, iterations)."""
+    n, row = K.n, K.first_row
+    tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
+    raw, idx = math.inf, np.zeros(0, dtype=np.int64)
+    if k_ones == 0:
+        raw = 0.0
+    else:
+        for r in range(n):
+            cand = (r + np.arange(k_ones)) % n
+            d = (cand[None, :] - cand[:, None]) % n
+            s = float(np.sum(row[d]))
+            if s < raw - tie_tol:
+                raw, idx = s, cand
+    t = k_ones / n
+    energy = 2.0 * (raw / (n * n)) - 2.0 * K.abar * t + K.abar
+    return float(energy), np.sort(idx).tolist(), n if k_ones else 1
+
 
 PARAM_GRID = [
     (1.0, 2.0, 0.5),
@@ -381,6 +404,22 @@ class TestBruteForce:
                 assert all_min == pytest.approx(arc_min, abs=1e-12)
             else:
                 assert all_min < arc_min - 1e-9
+
+    def test_arcs_only_matches_every_rotation_scan_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for n in range(2, 25):
+            for _ in range(3):
+                nseg = int(rng.integers(1, 6))
+                inner = np.sort(rng.uniform(0.02, 0.98, nseg - 1))
+                inner = inner[np.concatenate([[True], np.diff(inner) > 1e-3])] if inner.size else inner
+                bp = np.concatenate([[0.0], inner])
+                K = build_cell_matrix(PeriodicStepKernel(bp, rng.uniform(0.5, 3.0, bp.size)), n)
+                for k in range(n + 1):
+                    res = solve_brute_force(K, k, mode="arcs_only")
+                    energy, indices, iterations = _all_rotation_arcs(K, k)
+                    assert res.energy == energy
+                    assert res.extras["indices"] == indices
+                    assert res.iterations == iterations
 
     def test_mode_validation(self):
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 8)

@@ -245,6 +245,74 @@ class TestStudyCommands:
         )
 
 
+def _csv_matches(cell, value) -> bool:
+    """A CSV cell equals its report value: bools by name, numbers exactly
+    (17 significant digits round-trip a float)."""
+    if isinstance(value, bool):
+        return cell == str(value)
+    return float(cell) == float(value)
+
+
+def _gamma_table_rows(res):
+    return ["t", "gamma"], list(zip(res["t"], res["gamma"]))
+
+
+def _cell_verify_rows(res):
+    header = ["k", "all_subsets_min", "arcs_only_min", "closed_form_arc_value",
+              "exhaustive_equals_arcs"]
+    return header, [[r[h] for h in header] for r in res["rows"]]
+
+
+def _gamma_limit_rows(res):
+    st, flat = res["recovery_study"], res["flat_study"]
+    rows = [
+        [e, v, abs(v - st["limit_ref"]), fv]
+        for e, v, fv in zip(st["eps_grid"], st["values"], flat["values"])
+    ]
+    return ["eps", "oscillating_value", "oscillating_abs_error", "flat_value"], rows
+
+
+def _two_scale_rows(res):
+    lim = res["limit"]
+    rows = [[e, v, lim, abs(v - lim)] for e, v in zip(res["eps_grid"], res["pairing"])]
+    return ["eps", "pairing", "limit", "abs_error"], rows
+
+
+def _fm_threshold_rows(res):
+    p = res["payload"]
+    header = ["M", "all_strictly_worse"] + [
+        f"deviation_{i}" for i in range(p["n_deviation_profiles"])
+    ]
+    return header, [[r["M"], r["all_strictly_worse"]] + r["deviation_energies"] for r in p["rows"]]
+
+
+class TestCsvReports:
+    """Each tabular subcommand's CSV holds exactly the numbers of its JSON report."""
+
+    @pytest.mark.parametrize(
+        "argv,stem,expected",
+        [
+            (["gamma-table"], "gamma_table", _gamma_table_rows),
+            (["cell-verify", "--n", "8"], "cell_verify", _cell_verify_rows),
+            (["cell-verify", "--n", "8", "--alpha", "2", "--beta", "1"], "cell_verify",
+             _cell_verify_rows),
+            (["gamma-limit", "--eps-grid", "0.125,0.0625"], "gamma_limit", _gamma_limit_rows),
+            (["two-scale", "--eps-grid", "0.125,0.0625,0.05"], "two_scale", _two_scale_rows),
+            (["fm-threshold", "--eps", "0.125"], "fm_threshold", _fm_threshold_rows),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+    )
+    def test_csv_rows_match_json_report(self, tmp_path, argv, stem, expected):
+        assert dispatch(argv + ["--output-dir", str(tmp_path)]) in (0, 2)
+        header, rows = read_csv(tmp_path / f"{stem}.csv")
+        want_header, want_rows = expected(read_json(tmp_path / f"{stem}.json")["result"])
+        assert header == want_header
+        assert len(rows) == len(want_rows) > 0
+        for row, want in zip(rows, want_rows):
+            assert len(row) == len(want)
+            assert all(_csv_matches(c, v) for c, v in zip(row, want))
+
+
 class TestConfigHandling:
     def test_missing_config_file(self):
         assert dispatch(["gamma-table", "--config", "/nonexistent/x.json"]) == 1
@@ -291,5 +359,7 @@ class TestDeterminism:
             finally:
                 del os.environ["HOMOG_THREADS"]
             assert rc == 0
-            outs[threads] = (out / "gamma_limit.json").read_bytes()
+            outs[threads] = tuple(
+                (out / name).read_bytes() for name in ("gamma_limit.json", "gamma_limit.csv")
+            )
         assert outs["1"] == outs["8"]

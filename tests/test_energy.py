@@ -9,6 +9,7 @@ from nlhomog import (
     ResourceLimitError,
     StepFunction,
     TripleWellPotential,
+    eval_potential,
     evaluate,
     evaluate_quadrature,
     kernel_mean,
@@ -17,7 +18,7 @@ from nlhomog import (
     oscillating_profile,
     rect_integral,
 )
-from nlhomog import energy
+from nlhomog import energy, util
 from nlhomog.gammalab import gamma_limit_constant_value
 
 INF_POT = TripleWellPotential()
@@ -154,12 +155,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(StepFunction.constant(0.0), INF_POT, k, -1.0)
 
+    def test_level_structure_matches_pairwise_potential(self):
+        # level gaps: exact 1, 1 up to rounding, 0.5 (a tie), 1e-13 and 2.5
+        u = StepFunction([0.0, 0.2, 0.4, 0.6, 0.8], [0.3, 1.3, 0.8, 0.3 + 1e-13, -0.7])
+        levels = np.unique(u.values)
+        for p in (INF_POT, TripleWellPotential(cap=5.0)):
+            for tol in (0.0, 1e-12, 0.5):
+                wl, level_idx = energy._level_structure(u, p, tol)
+                expected = [[eval_potential(p, a - b, tol) for b in levels] for a in levels]
+                assert np.array_equal(wl, expected)
+                assert np.array_equal(levels[level_idx], u.values)
+
     def test_interval_cap_names_stage_and_size(self, monkeypatch):
         k = make_lambda_kernel(1.0, 2.0, 0.5)
         u = oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / 8.0)  # 17 intervals
-        monkeypatch.setattr(energy, "MAX_INTERVALS", 17)
+        monkeypatch.setattr(util, "MAX_INTERVALS", 17)
         evaluate(u, INF_POT, k, 1.0 / 8.0)
-        monkeypatch.setattr(energy, "MAX_INTERVALS", 16)
+        monkeypatch.setattr(util, "MAX_INTERVALS", 16)
         with pytest.raises(ResourceLimitError, match=r"evaluate: 17 intervals exceed the cap 16"):
             evaluate(u, INF_POT, k, 1.0 / 8.0)
 
@@ -243,7 +255,7 @@ class TestQuadrature:
         u = StepFunction([0.0, 0.5], [0.0, 1.0])
         with pytest.raises(ResourceLimitError, match=r"evaluate_quadrature: up to \d+ grid cells"):
             evaluate_quadrature(u, INF_POT, k, 0.1, n=10**12)
-        monkeypatch.setattr(energy, "MAX_QUADRATURE_CELLS", 66)
+        monkeypatch.setattr(util, "MAX_INTERVALS", 66)
         evaluate_quadrature(u, INF_POT, k, 0.1, n=64)
         with pytest.raises(ResourceLimitError, match=r"up to 67 grid cells \(n = 65\)"):
             evaluate_quadrature(u, INF_POT, k, 0.1, n=65)

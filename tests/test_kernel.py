@@ -3,7 +3,9 @@ import pytest
 
 from nlhomog import (
     ArgumentRangeError,
+    PeriodicStepFunction,
     PeriodicStepKernel,
+    StepFunction,
     kernel_mean,
     make_lambda_kernel,
 )
@@ -77,12 +79,20 @@ class TestEval:
             PeriodicStepKernel([0.0, 0.5], [1.0, 0.0])
 
     def test_breakpoint_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicStepKernel([0.1, 0.5], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            PeriodicStepKernel([0.0, 0.5, 0.5], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            PeriodicStepKernel([0.0, 1.0], [1.0, 1.0])
+        # one check for all three classes; values are positive so only the
+        # breakpoints (or the length mismatch) can be at fault
+        bad = [
+            ([], []),  # empty
+            ([0.1, 0.5], [1.0, 1.0]),  # first != 0
+            ([0.0, 1.0], [1.0, 1.0]),  # last >= 1
+            ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0]),  # not strictly increasing
+            ([0.0, 0.6, 0.4], [1.0, 1.0, 1.0]),
+            ([0.0, 0.5], [1.0]),  # length mismatch
+        ]
+        for cls in (StepFunction, PeriodicStepFunction, PeriodicStepKernel):
+            for bp, vals in bad:
+                with pytest.raises(ValueError):
+                    cls(bp, vals)
 
 
 class TestSecondAntiderivative:
@@ -149,3 +159,9 @@ class TestSerialization:
         k2 = PeriodicStepKernel.from_json(k.to_json())
         assert np.array_equal(k.breakpoints, k2.breakpoints)
         assert np.array_equal(k.values, k2.values)
+        # the inherited from_json builds the calling class
+        assert type(k2) is PeriodicStepKernel
+        ts = np.linspace(-2.0, 3.0, 401)
+        assert np.array_equal(k2.eval(ts), k.eval(ts))
+        assert np.array_equal(k2.periodic_part(ts), k.periodic_part(ts))
+        assert type(PeriodicStepFunction.from_json(k.to_json())) is PeriodicStepFunction

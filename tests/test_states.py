@@ -16,7 +16,7 @@ from nlhomog import (
     optimal_profile,
     oscillating_profile,
 )
-from nlhomog import energy, states
+from nlhomog import util
 from nlhomog.states import _arcs_from_indicator
 
 
@@ -44,6 +44,27 @@ class TestPotential:
         # 0.5 is equidistant from 0 and 1; the first of (-1, 0, 1) wins
         p = TripleWellPotential()
         assert eval_potential(p, 0.5, 0.5) == 1.0
+
+    @pytest.mark.parametrize("cap", [None, 1.0, 8.0])
+    def test_array_matches_scalar_calls(self, cap):
+        p = TripleWellPotential(cap=cap)
+        wells = np.array([-1.0, 0.0, 1.0])
+        zs = np.concatenate([
+            [-1.5, -0.5, 0.5, 1.5],  # exact midpoints: ties at tol 0.5
+            wells,
+            wells + 4e-13,  # within 1e-12 of a well
+            wells - 3e-12,  # outside 1e-12
+            [0.25, -0.75, 1e-300, -2.0, 2.5, 7.0, math.inf, -math.inf],
+        ])
+        for tol in (0.0, 1e-12, 0.25, 0.5):
+            arr = p.value(zs, tol)
+            assert np.array_equal(arr, [p.value(float(z), tol) for z in zs])
+            assert np.array_equal(p.value(zs.reshape(3, -1), tol), arr.reshape(3, -1))
+        assert isinstance(p.value(0.3), float)
+        off = math.inf if cap is None else cap
+        # ties go to the first of (-1, 0, 1); |z - w| == tol still snaps
+        assert p.value(np.array([-1.5, -0.5, 0.5, 1.5]), 0.5).tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert p.value(np.array([-0.5, 0.5, 1.5]), 0.25).tolist() == [off, off, off]
 
     def test_capped_below_infinite_and_monotone(self):
         zs = np.linspace(-2.5, 2.5, 41)
@@ -266,10 +287,10 @@ class TestOscillatingProfile:
 
     def test_breakpoint_cap(self):
         with pytest.raises(ResourceLimitError):
-            oscillating_profile(0.0, optimal_profile(0.5), 1e-4, max_breakpoints=100)
+            oscillating_profile(0.0, optimal_profile(0.5), 1e-7)
 
     def test_default_cap_names_stage_and_size(self, monkeypatch):
-        monkeypatch.setattr(states, "DEFAULT_BREAKPOINT_CAP", 100)
+        monkeypatch.setattr(util, "MAX_INTERVALS", 100)
         # the two arcs of optimal_profile(0.5) form one cyclic run: 2*50 + 2
         oscillating_profile(0.0, optimal_profile(0.5), 1.0 / 49.0)
         with pytest.raises(ResourceLimitError, match=r"oscillating_profile: ~102 breakpoints"):
@@ -278,8 +299,7 @@ class TestOscillatingProfile:
     def test_default_cap_admits_recovery_profile_at_1e6(self):
         # 2_000_001 intervals; the estimate is checked before anything is built
         n_periods = 10**6
-        assert 2 * n_periods + 2 <= states.DEFAULT_BREAKPOINT_CAP
-        assert states.DEFAULT_BREAKPOINT_CAP == energy.MAX_INTERVALS
+        assert 2 * n_periods + 2 <= util.MAX_INTERVALS
 
     def test_grid_indicator_input(self):
         from nlhomog import CellProfile
