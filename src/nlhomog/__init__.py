@@ -4,7 +4,6 @@ from .kernel import (
     AntiderivativeTable,
     PeriodicStepFunction,
     PeriodicStepKernel,
-    kernel_mean,
     make_lambda_kernel,
 )
 from .states import (
@@ -15,7 +14,6 @@ from .states import (
     TripleWellPotential,
     admissible_interval,
     decompose,
-    eval_potential,
     integrate,
     oscillating_profile,
 )

@@ -207,7 +207,10 @@ def necklace_gaps(n, k):
     return out
 
 
-def brute_force_search(row, n, k, tie_tol, chunk=4096):
+SEARCH_CHUNK = 4096  # subsets brute_force_search scores per numpy pass
+
+
+def brute_force_search(row, n, k, tie_tol):
     """Minimize s(S) over k-subsets of Z_n, one subset per rotation class.
 
     Representatives are scored in lexicographic order with the same sum, in
@@ -223,9 +226,9 @@ def brute_force_search(row, n, k, tie_tol, chunk=4096):
     gaps = np.frombuffer(buf, dtype=buf.typecode).reshape(-1, k)
     best = np.inf
     best_idx = np.arange(k)
-    for lo in range(0, gaps.shape[0], chunk):
-        idx = np.zeros((min(chunk, gaps.shape[0] - lo), k), dtype=np.int64)
-        np.cumsum(gaps[lo:lo + chunk, :-1], axis=1, out=idx[:, 1:])
+    for lo in range(0, gaps.shape[0], SEARCH_CHUNK):
+        idx = np.zeros((min(SEARCH_CHUNK, gaps.shape[0] - lo), k), dtype=np.int64)
+        np.cumsum(gaps[lo:lo + SEARCH_CHUNK, :-1], axis=1, out=idx[:, 1:])
         s = np.zeros(idx.shape[0])
         for a in range(k):
             for b in range(k):

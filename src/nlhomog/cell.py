@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,7 +34,11 @@ from .states import Arc
 from .util import ResourceLimitError
 
 BRUTE_FORCE_CAP = 10_000_000
-FFT_MATVEC_THRESHOLD = 1024
+FFT_MATVEC_THRESHOLD = 1024  # CellKernelMatrix.matvec uses the FFT from this n on
+PROJECTION_TOL = 1e-12  # project_box_mean: mean error and last step
+PROJECTION_MAX_ITER = 500
+RELAXED_TOL = 1e-12  # solve_relaxed: largest change of one step
+RELAXED_MAX_ITER = 5000
 
 
 def gamma_closed_form(alpha: float, beta: float, lam: float, t: float) -> float:
@@ -89,7 +93,11 @@ class CellProfile:
     @classmethod
     def from_arcs(cls, arcs: Sequence[Arc], n: int, mode: str = "average") -> "CellProfile":
         """Discretize an arc indicator: exact cell averages, or snap cells to
-        {0,1} by majority coverage."""
+        {0,1} by majority coverage.
+
+        Cells inside an arc count exactly 1: their width times n is off by
+        a few ulps, which at n in the thousands leaves [0, 1].
+        """
         if n < 2:
             raise ValueError("n must be at least 2")
         edges = np.arange(n + 1) / n
@@ -97,7 +105,12 @@ class CellProfile:
         for a, b in arcs:
             lo = np.maximum(edges[:-1], a)
             hi = np.minimum(edges[1:], b)
-            v += np.maximum(hi - lo, 0.0) * n
+            cover = np.maximum(hi - lo, 0.0) * n
+            # cells first..end-1 lie in [a, b]: edges[first] >= a, edges[end] <= b
+            first = np.searchsorted(edges, a)
+            end = np.searchsorted(edges, b, side="right") - 1
+            cover[first:end] = 1.0
+            v += cover
         if mode == "average":
             return cls.from_values(v)
         if mode == "snap":
@@ -119,27 +132,20 @@ class CellKernelMatrix:
     first_row: np.ndarray
     abar: float
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.first_row[(j - i) % self.n])
-
-    def matvec(self, x: np.ndarray, use_fft: Optional[bool] = None) -> np.ndarray:
-        """y_i = sum_j row[(j-i) mod n] x_j; direct by default, FFT for large n.
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """y_i = sum_j row[(j-i) mod n] x_j; direct below FFT_MATVEC_THRESHOLD,
+        FFT from there on.
 
         The direct path builds the dense matrix from the doubled row r2: row i
         is ``r2[n-i : 2n-i]``, so the rows are windows of r2 read backwards,
         copied once into a contiguous n x n array for one BLAS product. No
         index matrix is formed.
         """
-        if use_fft is None:
-            use_fft = self.n >= FFT_MATVEC_THRESHOLD
-        if use_fft:
+        if self.n >= FFT_MATVEC_THRESHOLD:
             freq = np.conj(np.fft.fft(self.first_row)) * np.fft.fft(x)
             return np.fft.ifft(freq).real
         r2 = np.concatenate([self.first_row, self.first_row])
         return np.ascontiguousarray(sliding_window_view(r2, self.n)[self.n:0:-1]) @ x
-
-    def quad_form(self, x: np.ndarray, use_fft: Optional[bool] = None) -> float:
-        return float(x @ self.matvec(x, use_fft=use_fft))
 
 
 def build_cell_matrix(k: PeriodicStepKernel, n: int) -> CellKernelMatrix:
@@ -151,12 +157,12 @@ def build_cell_matrix(k: PeriodicStepKernel, n: int) -> CellKernelMatrix:
     return CellKernelMatrix(n=n, first_row=row, abar=k.table.mean)
 
 
-def cell_energy(K: CellKernelMatrix, phi, use_fft: Optional[bool] = None) -> float:
+def cell_energy(K: CellKernelMatrix, phi) -> float:
     """F(phi) = 2*J - 2*mean_weight*t + mean_weight with J the quadratic form."""
     v = phi.values if isinstance(phi, CellProfile) else np.asarray(phi, dtype=float)
     if v.shape != (K.n,):
         raise ValueError(f"profile has {v.shape[0]} cells, matrix expects {K.n}")
-    J = K.quad_form(v, use_fft=use_fft) / (K.n * K.n)
+    J = float(v @ K.matvec(v)) / (K.n * K.n)
     t = float(np.sum(v) / K.n)
     return 2.0 * J - 2.0 * K.abar * t + K.abar
 
@@ -172,8 +178,12 @@ class CellSolveResult:
     extras: dict = field(default_factory=dict)
 
 
-def project_box_mean(x: np.ndarray, t: float, tol: float = 1e-12, max_iter: int = 500):
-    """Dykstra alternation onto {values in [0,1]} intersect {mean = t}."""
+def project_box_mean(x: np.ndarray, t: float):
+    """Dykstra alternation onto {values in [0,1]} intersect {mean = t}.
+
+    Returns (y, ok); ok is False when PROJECTION_MAX_ITER steps end with
+    the mean error or the last step above PROJECTION_TOL.
+    """
     if t <= 0.0:  # the intersection degenerates to a corner point
         return np.zeros_like(x), True
     if t >= 1.0:
@@ -182,7 +192,7 @@ def project_box_mean(x: np.ndarray, t: float, tol: float = 1e-12, max_iter: int 
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     ok = False
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         w = y + p
         h = w + (t - np.mean(w))
         p = w - h
@@ -191,7 +201,7 @@ def project_box_mean(x: np.ndarray, t: float, tol: float = 1e-12, max_iter: int 
         q = w2 - y_new
         moved = float(np.max(np.abs(y_new - y)))
         y = y_new
-        if abs(np.mean(y) - t) <= tol and moved <= tol:
+        if abs(np.mean(y) - t) <= PROJECTION_TOL and moved <= PROJECTION_TOL:
             ok = True
             break
     return y, ok
@@ -207,17 +217,12 @@ def _spectral_norm(K: CellKernelMatrix) -> float:
     return float(np.max(np.abs(np.fft.fft(K.first_row)))) / (K.n * K.n)
 
 
-def solve_relaxed(
-    K: CellKernelMatrix,
-    t: float,
-    step: Optional[float] = None,
-    max_iter: int = 5000,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> CellSolveResult:
+def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResult:
     """Projected gradient on the relaxed cell problem over [0,1]^n, mean = t.
 
-    The quadratic form is indefinite on the constraint tangent space in
+    The step is 1/(2L), L the spectral norm of K/n^2. A start stops when one
+    step changes no value by more than RELAXED_TOL, or after
+    RELAXED_MAX_ITER steps. The quadratic form is indefinite on the constraint tangent space in
     general, so this is a local method; it is seeded from the discretized
     arc profile, the flat profile, and a random feasible point, and reports
     the best iterate found across the three starts.
@@ -225,9 +230,8 @@ def solve_relaxed(
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     n = K.n
-    if step is None:
-        L = _spectral_norm(K)
-        step = 1.0 / (2.0 * L) if L > 0 else 1.0
+    L = _spectral_norm(K)
+    step = 1.0 / (2.0 * L) if L > 0 else 1.0
     rng = np.random.default_rng(seed)
     starts = [
         CellProfile.from_arcs(optimal_profile(t), n).values,
@@ -237,20 +241,20 @@ def solve_relaxed(
     best_phi, best_energy, best_iters = None, math.inf, 0
     all_ok = True
     for x0 in starts:
-        x, ok0 = project_box_mean(x0, t, tol=1e-12)
+        x, ok0 = project_box_mean(x0, t)
         all_ok &= ok0
         best_local = cell_energy(K, x)
         best_x = x.copy()
-        it_used = max_iter
-        for it in range(max_iter):
+        it_used = RELAXED_MAX_ITER
+        for it in range(RELAXED_MAX_ITER):
             grad = 4.0 * K.matvec(x) / (n * n)
-            x_new, okp = project_box_mean(x - step * grad, t, tol=1e-12)
+            x_new, okp = project_box_mean(x - step * grad, t)
             all_ok &= okp
             e_new = cell_energy(K, x_new)
             if e_new < best_local:
                 best_local = e_new
                 best_x = x_new.copy()
-            if np.max(np.abs(x_new - x)) <= tol:
+            if np.max(np.abs(x_new - x)) <= RELAXED_TOL:
                 it_used = it + 1
                 break
             x = x_new

@@ -1,9 +1,12 @@
 """Command-line interface: experiments, config ingestion, structured output.
 
+``COMMANDS`` declares the config fields each subcommand reads. A subcommand
+registers flags for those fields and the run flags --config --output-dir
+--threads --seed only, and a config file may set only those fields.
 Every subcommand writes a JSON report (machine consumption) and, where the
-result is tabular, a CSV next to it (plotting). JSON reports embed the full
-resolved config and a schema_version field, and identical configs produce
-byte-identical reports regardless of thread count.
+result is tabular, a CSV next to it (plotting). A report embeds the
+command's fields plus seed and a schema_version field, and identical configs
+produce byte-identical reports regardless of thread count.
 
 Exit codes: 0 success/confirmed, 1 config error, 2 refuted, 3 inconclusive.
 """
@@ -37,7 +40,7 @@ from .gammalab import (
     run_recovery_study,
     two_scale_pairing,
 )
-from .kernel import PeriodicStepFunction, PeriodicStepKernel, make_lambda_kernel
+from .kernel import PeriodicStepKernel, make_lambda_kernel
 from .states import StepFunction, TripleWellPotential, integrate, oscillating_profile
 from .util import ResourceLimitError, dump_json, make_pmap, write_csv
 
@@ -84,13 +87,12 @@ DEFAULTS = {
     "c": 0.0,
     "t": 0.5,
     "t_steps": 101,
-    "s": 0.5,
     "s1": 0.5,
     "s2": 0.25,
     "eps": 0.03125,
     "eps_grid": list(DEFAULT_EPS_GRID),
     "M_grid": list(DEFAULT_M_GRID),
-    "n": None,  # cell grid; see _default_n
+    "n": None,  # cell grid: 16 on the exhaustive paths, else 256
     "k_ones": 8,
     "method": "closed_form",
     "mode": "all_subsets",
@@ -104,47 +106,72 @@ DEFAULTS = {
     "u": None,
 }
 
+# field -> (flag, argparse keywords); the flag's dest is the field name
+FLAGS = {
+    "alpha": ("--alpha", {"type": float}),
+    "beta": ("--beta", {"type": float}),
+    "lambda": ("--lambda", {"type": float}),
+    "kernel": ("--kernel", {"help": "kernel JSON path (overrides alpha/beta/lambda)"}),
+    "potential": ("--potential", {"choices": ["infinite", "capped"]}),
+    "cap": ("--cap", {"type": float}),
+    "c": ("--c", {"type": float}),
+    "t": ("--t", {"type": float}),
+    "t_steps": ("--t-steps", {"type": int}),
+    "s1": ("--s1", {"type": float}),
+    "s2": ("--s2", {"type": float}),
+    "eps": ("--eps", {"type": float}),
+    "eps_grid": ("--eps-grid", {}),
+    "M_grid": ("--M-grid", {}),
+    "n": ("--n", {"type": int}),
+    "k_ones": ("--k-ones", {"type": int}),
+    "method": ("--method", {}),
+    "mode": ("--mode", {}),
+    "quad_n": ("--quad-n", {"type": int}),
+    "difference_tol": ("--tol", {"type": float}),
+    "study_tol": ("--study-tol", {"type": float}),
+    "value_tol": ("--value-tol", {"type": float}),
+    "output_dir": ("--output-dir", {}),
+    "threads": ("--threads", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "u": ("--u", {"help": "step-function JSON path"}),
+}
 
-def _default_n(command: str, cfg) -> int:
-    """Cell grid when none is given: 16 for the exhaustive paths, whose
-    enumeration must fit the cap, 256 elsewhere."""
-    exhaustive = command == "cell-verify" or (
-        command == "cell-solve" and cfg["method"] == "brute_force"
-    )
-    return 16 if exhaustive else 256
+# every command also reads these; threads and output_dir are execution
+# environment, not experiment inputs, so reports leave them out and stay
+# byte-identical across thread counts
+RUN_FIELDS = ("output_dir", "threads", "seed")
 
 
 def _resolve_config(args) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        for key, val in file_cfg.items():
+    """The command's fields and the run fields: defaults, then the config
+    file, then flags."""
+    cfg = {key: DEFAULTS[key] for key in COMMANDS[args.command][1] + RUN_FIELDS}
+    if args.config:
+        for key, val in _load_config_file(args.config).items():
             if key not in cfg:
-                raise ConfigError(f"unknown config field: {key}")
+                raise ConfigError(f"{args.command} reads no config field {key!r}")
             cfg[key] = val
     for key in cfg:
-        arg_key = {"lambda": "lam"}.get(key, key)
-        val = getattr(args, arg_key, None)
-        if val is not None:
-            cfg[key] = val
-    if isinstance(cfg["eps_grid"], str):
-        cfg["eps_grid"] = _parse_grid(cfg["eps_grid"])
-    if isinstance(cfg["M_grid"], str):
-        cfg["M_grid"] = _parse_grid(cfg["M_grid"])
-    if cfg["n"] is None:
-        cfg["n"] = _default_n(args.command, cfg)
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for key in ("eps_grid", "M_grid"):
+        if isinstance(cfg.get(key), str):
+            cfg[key] = _parse_grid(cfg[key])
+        if key in cfg and not cfg[key]:
+            raise ConfigError(f"{key} must be non-empty")
+    if "n" in cfg and cfg["n"] is None:
+        # the exhaustive paths' enumeration must fit the cap
+        exhaustive = args.command == "cell-verify" or cfg["method"] == "brute_force"
+        cfg["n"] = 16 if exhaustive else 256
     cfg["threads"] = int(os.environ.get("HOMOG_THREADS", cfg["threads"]))
-    for field in ("difference_tol", "study_tol", "value_tol"):
-        if cfg[field] <= 0:
-            raise ConfigError(f"{field} must be positive")
-    for field in ("eps_grid", "M_grid"):
-        if not cfg[field]:
-            raise ConfigError(f"{field} must be non-empty")
+    for key in ("difference_tol", "study_tol", "value_tol"):
+        if key in cfg and cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive")
     return cfg
 
 
 def _kernel_from_config(cfg) -> PeriodicStepKernel:
-    if cfg["kernel"]:
+    if cfg.get("kernel"):
         path = Path(cfg["kernel"])
         if not path.exists():
             raise ConfigError(f"kernel file not found: {path}")
@@ -176,8 +203,6 @@ def _emit(cfg, command: str, result: dict, out_json: str, csv=None) -> Path:
     """Write the JSON report and, given csv = (header, rows), <stem>.csv."""
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    # threads and output_dir are execution environment, not experiment inputs;
-    # leaving them out keeps reports byte-identical across thread counts
     embedded = {k: v for k, v in cfg.items() if k not in ("threads", "output_dir")}
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -196,14 +221,16 @@ def _emit(cfg, command: str, result: dict, out_json: str, csv=None) -> Path:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_energy(cfg) -> int:
+def _cmd_energy(cfg, pmap) -> int:
     kern = _kernel_from_config(cfg)
     pot = _potential_from_config(cfg)
     u = _step_function_from_config(cfg)
     rep = evaluate(u, pot, kern, cfg["eps"], value_tol=cfg["value_tol"])
     result = {"exact": rep.to_json()}
     if cfg["quad_n"] >= 2:
-        quad = evaluate_quadrature(u, pot, kern, cfg["eps"], n=int(cfg["quad_n"]))
+        quad = evaluate_quadrature(
+            u, pot, kern, cfg["eps"], n=int(cfg["quad_n"]), value_tol=cfg["value_tol"]
+        )
         result["quadrature"] = quad.to_json()
         result["abs_diff"] = abs(rep.value - quad.value)
     path = _emit(cfg, "energy", result, "energy.json")
@@ -215,7 +242,7 @@ def _cmd_energy(cfg) -> int:
     return 0
 
 
-def _cmd_gamma_table(cfg) -> int:
+def _cmd_gamma_table(cfg, pmap) -> int:
     ts = np.linspace(0.0, 1.0, int(cfg["t_steps"]))
     gammas = [gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], t) for t in ts]
     result = {"t": list(map(float, ts)), "gamma": gammas, "argmin_t": float(ts[int(np.argmin(gammas))])}
@@ -231,9 +258,11 @@ def _cmd_gamma_table(cfg) -> int:
     return 0
 
 
-def _cmd_cell_solve(cfg) -> int:
-    kern = _kernel_from_config(cfg)
+def _cmd_cell_solve(cfg, pmap) -> int:
     method = cfg["method"]
+    if method == "closed_form" and cfg["kernel"]:
+        raise ConfigError("method closed_form is the lambda-weight formula; it reads no kernel file")
+    kern = _kernel_from_config(cfg)
     if method == "closed_form":
         val = gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["t"])
         result = {"method": "closed_form", "t": cfg["t"], "energy": val}
@@ -272,7 +301,7 @@ def _cmd_cell_solve(cfg) -> int:
     return 0
 
 
-def _cmd_cell_verify(cfg) -> int:
+def _cmd_cell_verify(cfg, pmap) -> int:
     kern = _kernel_from_config(cfg)
     n = int(cfg["n"])
     ks = range(0, n + 1, max(1, n // 8))
@@ -335,13 +364,12 @@ def _cmd_gamma_limit(cfg, pmap) -> int:
 
 
 def _cmd_two_scale(cfg, pmap) -> int:
-    kern = _kernel_from_config(cfg)
+    psi2 = _kernel_from_config(cfg)
     arcs = optimal_profile(cfg["t"])
     psi1 = StepFunction.constant(1.0)
-    psi2 = PeriodicStepFunction(kern.breakpoints, kern.values)
     # exact limit: integral of psi1 times the cell average of profile * psi2
     overlap = 0.0
-    edges = np.append(psi2.breakpoints, 1.0)
+    edges = psi2.endpoints
     for a, b in arcs:
         for i in range(len(psi2.values)):
             lo, hi = max(a, edges[i]), min(b, edges[i + 1])
@@ -431,67 +459,38 @@ def _cmd_reproduce_all(cfg, pmap) -> int:
     return 0 if result["all_passed"] else 2
 
 
+# the lambda weight's parameters; WEIGHT adds the kernel file that replaces them
+LAMBDA = ("alpha", "beta", "lambda")
+WEIGHT = LAMBDA + ("kernel",)
+
+# command -> (handler, the config fields it reads besides RUN_FIELDS)
+COMMANDS = {
+    "energy": (_cmd_energy, WEIGHT + ("potential", "cap", "eps", "u", "quad_n", "value_tol")),
+    "gamma-table": (_cmd_gamma_table, LAMBDA + ("t_steps",)),
+    "cell-solve": (_cmd_cell_solve, WEIGHT + ("method", "t", "n", "k_ones", "mode")),
+    "cell-verify": (_cmd_cell_verify, LAMBDA + ("n",)),
+    "gamma-limit": (_cmd_gamma_limit, LAMBDA + ("c", "eps_grid")),
+    "two-scale": (_cmd_two_scale, WEIGHT + ("t", "eps_grid")),
+    "non-rep": (_cmd_non_rep, LAMBDA + ("s1", "s2", "difference_tol", "eps_grid", "study_tol")),
+    "fm-threshold": (_cmd_fm_threshold, LAMBDA + ("eps", "M_grid")),
+    "reproduce-all": (_cmd_reproduce_all, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlhomog",
         description="Experiments on non-local pair energies with oscillating periodic weights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        "energy",
-        "gamma-table",
-        "cell-solve",
-        "cell-verify",
-        "gamma-limit",
-        "two-scale",
-        "non-rep",
-        "fm-threshold",
-        "reproduce-all",
-    )
-    for name in commands:
-        p = sub.add_parser(name)
+    for name, (_, fields) in COMMANDS.items():
+        # no abbreviations: --eps must not turn into --eps-grid where only that exists
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON (or TOML on Python 3.11+) config file")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--kernel", help="kernel JSON path (overrides alpha/beta/lambda)")
-        p.add_argument("--potential", choices=["infinite", "capped"])
-        p.add_argument("--cap", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--t", type=float)
-        p.add_argument("--t-steps", dest="t_steps", type=int)
-        p.add_argument("--s", type=float)
-        p.add_argument("--s1", type=float)
-        p.add_argument("--s2", type=float)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--eps-grid", dest="eps_grid")
-        p.add_argument("--M-grid", dest="M_grid")
-        p.add_argument("--n", type=int)
-        p.add_argument("--k-ones", dest="k_ones", type=int)
-        p.add_argument("--method")
-        p.add_argument("--mode")
-        p.add_argument("--quad-n", dest="quad_n", type=int)
-        p.add_argument("--tol", dest="difference_tol", type=float)
-        p.add_argument("--study-tol", dest="study_tol", type=float)
-        p.add_argument("--value-tol", dest="value_tol", type=float)
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--u", help="step-function JSON path")
+        for field in fields + RUN_FIELDS:
+            flag, kwargs = FLAGS[field]
+            p.add_argument(flag, dest=field, **kwargs)
     return parser
-
-
-HANDLERS = {
-    "energy": lambda cfg, pmap: _cmd_energy(cfg),
-    "gamma-table": lambda cfg, pmap: _cmd_gamma_table(cfg),
-    "cell-solve": lambda cfg, pmap: _cmd_cell_solve(cfg),
-    "cell-verify": lambda cfg, pmap: _cmd_cell_verify(cfg),
-    "gamma-limit": _cmd_gamma_limit,
-    "two-scale": _cmd_two_scale,
-    "non-rep": _cmd_non_rep,
-    "fm-threshold": _cmd_fm_threshold,
-    "reproduce-all": _cmd_reproduce_all,
-}
 
 
 def dispatch(argv) -> int:
@@ -503,7 +502,7 @@ def dispatch(argv) -> int:
     try:
         cfg = _resolve_config(args)
         pmap = make_pmap(cfg["threads"])
-        return HANDLERS[args.command](cfg, pmap)
+        return COMMANDS[args.command][0](cfg, pmap)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

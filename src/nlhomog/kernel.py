@@ -45,9 +45,6 @@ class PeriodicStepFunction(StepFunction):
 
     __call__ = eval
 
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.lengths))
-
 
 @dataclass(frozen=True)
 class AntiderivativeTable:
@@ -139,8 +136,3 @@ def make_lambda_kernel(alpha: float, beta: float, lam: float) -> PeriodicStepKer
     """
     check_lambda_parameters(alpha, beta, lam)
     return PeriodicStepKernel([0.0, lam / 2.0, 1.0 - lam / 2.0], [alpha, beta, alpha])
-
-
-def kernel_mean(k: PeriodicStepFunction) -> float:
-    """Exact integral over one period (sum of value * segment length)."""
-    return k.mean()

@@ -61,9 +61,6 @@ class StepFunction:
     def ess_sup(self) -> float:
         return float(np.max(self.values))
 
-    def shifted(self, c: float) -> "StepFunction":
-        return StepFunction(self.breakpoints, self.values + c)
-
     def to_json(self) -> dict:
         return {"breakpoints": self.breakpoints.tolist(), "values": self.values.tolist()}
 
@@ -129,11 +126,6 @@ class TripleWellPotential:
         if kind == "capped":
             return cls(cap=float(obj["cap"]))
         raise ValueError(f"unknown potential kind {kind!r}")
-
-
-def eval_potential(p: TripleWellPotential, z: float, tol: float = 0.0) -> float:
-    """Potential value with snapping: |z - w| <= tol counts as the well w."""
-    return p.value(z, tol)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,20 @@ from nlhomog import (
     build_cell_matrix,
     cell_energy,
     gamma_closed_form,
-    kernel_mean,
+    integrate,
     make_lambda_kernel,
     optimal_profile,
     solve_brute_force,
     solve_relaxed,
 )
+from nlhomog import cell
 from nlhomog.cell import CellKernelMatrix, _spectral_norm, is_cyclic_arc
+
+
+def _dense(K):
+    """The full circulant matrix: entry (i, j) is first_row[(j - i) mod n]."""
+    n = K.n
+    return K.first_row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def _all_rotation_arcs(K, k_ones):
@@ -134,7 +141,7 @@ class TestCellMatrix:
         k = make_lambda_kernel(1.0, 2.0, 0.5)
         K = build_cell_matrix(k, n)
         ones = np.ones(n)
-        assert K.quad_form(ones) / (n * n) == pytest.approx(kernel_mean(k), abs=1e-12)
+        assert ones @ K.matvec(ones) / (n * n) == pytest.approx(integrate(k), abs=1e-12)
 
     def test_entries_positive(self):
         K = build_cell_matrix(make_lambda_kernel(0.3, 2.0, 0.25), 32)
@@ -145,32 +152,34 @@ class TestCellMatrix:
         for j in range(1, 16):
             assert K.first_row[j] == pytest.approx(K.first_row[16 - j], abs=1e-13)
 
-    def test_fft_and_direct_matvec_agree(self):
+    def test_fft_and_direct_matvec_agree(self, monkeypatch):
         k = PeriodicStepKernel([0.0, 0.2, 0.5], [1.0, 3.0, 2.0])  # asymmetric
         for n in (128, 1024):
             K = build_cell_matrix(k, n)
             x = np.random.default_rng(0).uniform(size=n)
-            d = K.matvec(x, use_fft=False)
-            f = K.matvec(x, use_fft=True)
+            monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", n + 1)
+            d = K.matvec(x)
+            monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", n)
+            f = K.matvec(x)
             assert np.max(np.abs(d - f)) <= 1e-10
 
-    def test_direct_matvec_matches_dense(self):
+    def test_direct_matvec_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", 1024)
         k = PeriodicStepKernel([0.0, 0.2, 0.5], [1.0, 3.0, 2.0])
         n = 12
         K = build_cell_matrix(k, n)
-        dense = np.array([[K.entry(i, j) for j in range(n)] for i in range(n)])
         x = np.arange(n, dtype=float)
-        assert np.allclose(K.matvec(x, use_fft=False), dense @ x, atol=1e-12)
+        assert np.allclose(K.matvec(x), _dense(K) @ x, atol=1e-12)
 
-    def test_direct_matvec_equals_index_gather_bit_for_bit(self):
+    def test_direct_matvec_equals_index_gather_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", 1024)
         # the reference builds the same dense matrix through an int64 index
         # matrix; the same matrix and the same BLAS product give equal bits
         rng = np.random.default_rng(11)
         for n in list(range(2, 65)) + list(range(65, 1023, 53)) + [1023]:
             K = CellKernelMatrix(n=n, first_row=rng.uniform(0.5, 3.0, n), abar=1.0)
             x = rng.standard_normal(n)
-            idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-            assert np.array_equal(K.matvec(x, use_fft=False), K.first_row[idx] @ x), n
+            assert np.array_equal(K.matvec(x), _dense(K) @ x), n
 
     def test_spectral_norm_equals_largest_eigenvalue(self):
         kernels = [
@@ -187,8 +196,7 @@ class TestCellMatrix:
                      for n in (2, 3, 7, 16, 64, 129) for _ in range(3)]
         for K in matrices:
             n = K.n
-            dense = K.first_row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-            exact = float(np.max(np.abs(np.linalg.eigvals(dense)))) / (n * n)
+            exact = float(np.max(np.abs(np.linalg.eigvals(_dense(K))))) / (n * n)
             assert _spectral_norm(K) == pytest.approx(exact, rel=1e-12, abs=0.0), K.first_row
 
 
@@ -196,7 +204,7 @@ class TestCellEnergy:
     def test_flat_profiles(self):
         k = make_lambda_kernel(1.0, 2.0, 0.5)
         K = build_cell_matrix(k, 32)
-        abar = kernel_mean(k)
+        abar = integrate(k)
         assert cell_energy(K, np.zeros(32)) == pytest.approx(abar, abs=1e-12)
         assert cell_energy(K, np.ones(32)) == pytest.approx(abar, abs=1e-12)
         assert cell_energy(K, np.full(32, 0.5)) == pytest.approx(abar / 2.0, abs=1e-12)
@@ -258,6 +266,31 @@ class TestCellProfile:
     def test_value_range_validation(self):
         with pytest.raises(ValueError):
             CellProfile.from_values([0.5, 1.4])
+
+    @pytest.mark.parametrize("n", [2400, 3000])
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [(0.3, 0.7)],
+            optimal_profile(0.4),
+            [(j / 5, j / 5 + 0.1) for j in range(5)],
+            [(0.12345, 0.6789)],
+        ],
+        ids=["1-arc", "2-arc", "5-arc", "off-grid"],
+    )
+    def test_from_arcs_cells_inside_arcs_are_exactly_one(self, n, arcs):
+        # at these n a cell's width times n exceeds 1 by more than the 1e-15
+        # range check; every other cell keeps its coverage bit for bit
+        p = CellProfile.from_arcs(arcs, n)
+        edges = np.arange(n + 1) / n
+        inside = np.zeros(n, dtype=bool)
+        cover = np.zeros(n)
+        for a, b in arcs:
+            inside |= (edges[:-1] >= a) & (edges[1:] <= b)
+            cover += np.maximum(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0.0) * n
+        assert inside.any() and np.all(p.values[inside] == 1.0)
+        assert np.array_equal(p.values[~inside], cover[~inside])
+        assert p.mean == pytest.approx(sum(b - a for a, b in arcs), abs=1e-12)
 
 
 class TestSolveRelaxed:
@@ -370,7 +403,7 @@ class TestBruteForce:
         # use of the accelerated search or of F = 2J - 2*abar*t + abar.
         n = 16
         K = build_cell_matrix(make_lambda_kernel(alpha, beta, lam), n)
-        dense = np.array([[K.entry(i, j) for j in range(n)] for i in range(n)])
+        dense = _dense(K)
         abar = lam * alpha + (1.0 - lam) * beta
         # Parseval: J >= t^2 abar + min(0, min_m a_m) (t - t^2) over m != 0,
         # a_m = (alpha - beta) sin(pi m lam) / (pi m); |a_m| <= |alpha-beta|/(pi m)

@@ -83,6 +83,21 @@ class TestEnergyCommand:
         assert "evaluate_quadrature" in capsys.readouterr().err
         assert not (tmp_path / "energy.json").exists()
 
+    def test_quadrature_snaps_levels_with_value_tol(self, tmp_path):
+        # the level gap 1 + 1e-10 is a well only under --value-tol 1e-9, and
+        # the quadrature has to snap it the same way as the exact evaluator
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps(StepFunction([0.0, 0.5], [0.0, 1.0 + 1e-10]).to_json()))
+        rc = dispatch(
+            ["energy", "--u", str(upath), "--value-tol", "1e-9", "--quad-n", "64",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        res = read_json(tmp_path / "energy.json")["result"]
+        assert res["exact"]["value"] == pytest.approx(0.75, abs=1e-12)
+        assert abs(res["quadrature"]["value"] - 0.75) <= res["quadrature"]["bound"]
+        assert res["abs_diff"] <= res["quadrature"]["bound"]
+
     def test_missing_u_is_config_error(self, tmp_path):
         assert dispatch(["energy", "--output-dir", str(tmp_path)]) == 1
 
@@ -196,6 +211,63 @@ class TestDefaultConfigs:
         assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 1
         assert "enumeration cap" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+REPORTS = {
+    "energy": "energy.json",
+    "gamma-table": "gamma_table.json",
+    "cell-solve": "cell_solve.json",
+    "cell-verify": "cell_verify.json",
+    "gamma-limit": "gamma_limit.json",
+    "two-scale": "two_scale.json",
+    "non-rep": "non_rep.json",
+    "fm-threshold": "fm_threshold.json",
+    "reproduce-all": "reproduce_all.json",
+}
+
+
+def _subparsers():
+    """Subcommand name -> its argparse parser."""
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+class TestPerCommandFields:
+    """A subcommand accepts, and its report records, only the fields it reads."""
+
+    @pytest.mark.parametrize("command", REPORTS)
+    def test_report_embeds_declared_fields_and_seed(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        dispatch([command] + (["--u", "u.json"] if command == "energy" else []))
+        declared = set(cli.COMMANDS[command][1])
+        assert set(read_json(REPORTS[command])["config"]) == declared | {"seed"}
+
+    @pytest.mark.parametrize("command", REPORTS)
+    def test_parser_registers_declared_fields_and_run_flags(self, command):
+        actions = _subparsers()[command]._actions
+        dests = {a.dest for a in actions if a.dest != "help"}
+        assert dests == set(cli.COMMANDS[command][1]) | {"config", "output_dir", "threads", "seed"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma-limit", "--kernel", "k.json"],
+            ["cell-verify", "--kernel", "k.json"],
+            ["cell-solve", "--method", "closed_form", "--kernel", "k.json"],
+            ["gamma-table", "--quad-n", "5"],
+            ["gamma-table", "--config", "c.json"],  # a field gamma-table does not read
+            ["gamma-limit", "--eps", "0.1"],  # no abbreviation of --eps-grid
+        ] + [[command, "--s", "0.9"] for command in REPORTS],
+        ids=lambda v: "-".join(v),
+    )
+    def test_unread_field_is_refused(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("k.json").write_text(json.dumps({"breakpoints": [0.0], "values": [2.0]}))
+        Path("c.json").write_text(json.dumps({"t_steps": 5, "kernel": "k.json"}))
+        Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        assert dispatch(argv + (["--u", "u.json"] if argv[0] == "energy" else [])) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "k.json", "u.json"]
 
 
 class TestCertificateCommands:

@@ -6,7 +6,7 @@ from nlhomog import (
     PeriodicStepFunction,
     PeriodicStepKernel,
     StepFunction,
-    kernel_mean,
+    integrate,
     make_lambda_kernel,
 )
 
@@ -22,21 +22,21 @@ class TestLambdaKernel:
         k = make_lambda_kernel(1.0, 2.0, 0.5)
         assert np.allclose(k.breakpoints, [0.0, 0.25, 0.75])
         assert np.allclose(k.values, [1.0, 2.0, 1.0])
-        assert kernel_mean(k) == pytest.approx(1.5, abs=1e-15)
-        assert kernel_mean(k) == pytest.approx(segment_sum_mean(k), abs=1e-15)
+        assert integrate(k) == pytest.approx(1.5, abs=1e-15)
+        assert integrate(k) == pytest.approx(segment_sum_mean(k), abs=1e-15)
 
     def test_degenerate_equal_values(self):
         k = make_lambda_kernel(1.0, 1.0, 0.3)
-        assert kernel_mean(k) == pytest.approx(1.0, abs=1e-15)
+        assert integrate(k) == pytest.approx(1.0, abs=1e-15)
         ts = np.linspace(-1, 2, 101)
         assert np.all(k.eval(ts) == 1.0)
 
     def test_mean_arithmetic(self):
-        assert kernel_mean(make_lambda_kernel(2.0, 1.0, 0.4)) == pytest.approx(1.4, abs=1e-15)
+        assert integrate(make_lambda_kernel(2.0, 1.0, 0.4)) == pytest.approx(1.4, abs=1e-15)
 
     def test_tiny_lambda_mean_approaches_beta(self):
         k = make_lambda_kernel(1.0, 2.0, 1e-6)
-        assert abs(kernel_mean(k) - 2.0) <= 1e-5 * abs(1.0 - 2.0) + 1e-12
+        assert abs(integrate(k) - 2.0) <= 1e-5 * abs(1.0 - 2.0) + 1e-12
 
     @pytest.mark.parametrize(
         "alpha,beta,lam",

@@ -11,7 +11,6 @@ from nlhomog import (
     TripleWellPotential,
     admissible_interval,
     decompose,
-    eval_potential,
     integrate,
     optimal_profile,
     oscillating_profile,
@@ -23,27 +22,27 @@ from nlhomog.states import _arcs_from_indicator
 class TestPotential:
     def test_well_values(self):
         p = TripleWellPotential()
-        assert eval_potential(p, 1.0, 0.0) == 0.0
-        assert eval_potential(p, -1.0, 0.0) == 0.0
-        assert eval_potential(p, 0.0, 0.0) == 1.0
-        assert eval_potential(p, 0.5, 0.0) == math.inf
+        assert p.value(1.0, 0.0) == 0.0
+        assert p.value(-1.0, 0.0) == 0.0
+        assert p.value(0.0, 0.0) == 1.0
+        assert p.value(0.5, 0.0) == math.inf
 
     def test_capped_values(self):
         p = TripleWellPotential(cap=10.0)
-        assert eval_potential(p, 0.5, 0.0) == 10.0
-        assert eval_potential(p, 1.0, 0.0) == 0.0
-        assert eval_potential(p, 0.0, 0.0) == 1.0
+        assert p.value(0.5, 0.0) == 10.0
+        assert p.value(1.0, 0.0) == 0.0
+        assert p.value(0.0, 0.0) == 1.0
 
     def test_snapping(self):
         p = TripleWellPotential()
-        assert eval_potential(p, 1.0 + 1e-13, 1e-12) == 0.0
-        assert eval_potential(p, 1e-13, 1e-12) == 1.0
-        assert eval_potential(p, 1e-10, 1e-12) == math.inf
+        assert p.value(1.0 + 1e-13, 1e-12) == 0.0
+        assert p.value(1e-13, 1e-12) == 1.0
+        assert p.value(1e-10, 1e-12) == math.inf
 
     def test_tie_goes_to_nearest_then_first_well(self):
         # 0.5 is equidistant from 0 and 1; the first of (-1, 0, 1) wins
         p = TripleWellPotential()
-        assert eval_potential(p, 0.5, 0.5) == 1.0
+        assert p.value(0.5, 0.5) == 1.0
 
     @pytest.mark.parametrize("cap", [None, 1.0, 8.0])
     def test_array_matches_scalar_calls(self, cap):
@@ -71,8 +70,8 @@ class TestPotential:
         caps = [1.0, 2.0, 8.0, 64.0]
         inf_pot = TripleWellPotential()
         for z in zs:
-            vals = [eval_potential(TripleWellPotential(cap=c), z, 0.0) for c in caps]
-            assert all(v <= eval_potential(inf_pot, z, 0.0) for v in vals)
+            vals = [TripleWellPotential(cap=c).value(z, 0.0) for c in caps]
+            assert all(v <= inf_pot.value(z, 0.0) for v in vals)
             assert vals == sorted(vals)
 
     def test_cap_validation(self):
