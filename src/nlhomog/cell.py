@@ -15,7 +15,9 @@ form IS the cell minimum. When alpha > beta (expensive short range, cheap mid
 range) single arcs are NOT optimal: mass splits into several clumps spaced to
 sit in the cheap band, and the exhaustive search returns strictly smaller
 energies than any arc. The closed form then still reports the best-arc
-energy, which is exactly what the arcs-only search converges to.
+energy, which is exactly what the arcs-only search converges to. The
+exhaustive search scores one subset per rotation class, so its cap
+``BRUTE_FORCE_CAP`` counts rotation classes, not subsets.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .kernel import PeriodicStepKernel, check_lambda_parameters
 from .states import Arc
 from .util import ResourceLimitError
 
-BRUTE_FORCE_CAP = 10_000_000
+BRUTE_FORCE_CAP = 10_000_000  # rotation classes an all-subsets search may score
 FFT_MATVEC_THRESHOLD = 1024  # CellKernelMatrix.matvec uses the FFT from this n on
 PROJECTION_TOL = 1e-12  # project_box_mean: mean error and last step
 PROJECTION_MAX_ITER = 500
@@ -58,19 +60,16 @@ def gamma_closed_form(alpha: float, beta: float, lam: float, t: float) -> float:
     return 2.0 * alpha * (1.0 - t) ** 2 + 2.0 * abar * t - abar
 
 
-def optimal_profile(t: float, orientation: str = "low_cost_at_zero") -> list:
-    """Arc support of the length-t indicator: split at the cell boundary or centered."""
+def optimal_profile(t: float) -> list:
+    """Arc support of the length-t indicator, centered on 0 (split at the
+    cell boundary)."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if t == 0.0:
         return []
     if t == 1.0:
         return [(0.0, 1.0)]
-    if orientation == "low_cost_at_zero":
-        return [(0.0, t / 2.0), (1.0 - t / 2.0, 1.0)]
-    if orientation == "low_cost_at_half":
-        return [(0.5 - t / 2.0, 0.5 + t / 2.0)]
-    raise ValueError(f"unknown orientation {orientation!r}")
+    return [(0.0, t / 2.0), (1.0 - t / 2.0, 1.0)]
 
 
 @dataclass(frozen=True)
@@ -179,10 +178,14 @@ class CellSolveResult:
 
 
 def project_box_mean(x: np.ndarray, t: float):
-    """Dykstra alternation onto {values in [0,1]} intersect {mean = t}.
+    """Projection of clip(x, 0, 1) onto {values in [0,1]} intersect {mean = t}.
 
-    Returns (y, ok); ok is False when PROJECTION_MAX_ITER steps end with
-    the mean error or the last step above PROJECTION_TOL.
+    Dykstra alternation between the two sets, started from clip(x, 0, 1).
+    That start makes the result the projection of clip(x, 0, 1), which is the
+    projection of x only when x already lies in the box. t <= 0 and t >= 1
+    return the corner points 0 and 1. Returns (y, ok); ok is False when
+    PROJECTION_MAX_ITER steps end with the mean error or the last step above
+    PROJECTION_TOL.
     """
     if t <= 0.0:  # the intersection degenerates to a corner point
         return np.zeros_like(x), True
@@ -275,14 +278,25 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
     )
 
 
+def rotation_classes(n: int, k: int) -> int:
+    """Rotation classes of the k-subsets of Z_n, by Burnside's lemma:
+    (1/n) * sum over d | gcd(n, k) of phi(d) * C(n/d, k/d)."""
+    g = math.gcd(n, k)
+    divisors = [d for d in range(1, g + 1) if g % d == 0]
+    phi = [sum(math.gcd(j, d) == 1 for j in range(1, d + 1)) for d in divisors]
+    return sum(p * math.comb(n // d, k // d) for p, d in zip(phi, divisors)) // n
+
+
 def enumeration_size(n: int, k_ones: int) -> int:
     """C(n, k_ones), the subsets an all-subsets search covers; raises
-    ResourceLimitError when that exceeds BRUTE_FORCE_CAP."""
+    ResourceLimitError when the rotation classes it scores, one per class,
+    exceed BRUTE_FORCE_CAP."""
     n_comb = math.comb(n, k_ones)
-    if n_comb > BRUTE_FORCE_CAP:
+    classes = rotation_classes(n, k_ones)
+    if classes > BRUTE_FORCE_CAP:
         raise ResourceLimitError(
-            f"solve_brute_force: C({n},{k_ones}) = {n_comb} subsets exceed the "
-            f"enumeration cap {BRUTE_FORCE_CAP}"
+            f"solve_brute_force: C({n},{k_ones}) = {n_comb} subsets in {classes} "
+            f"rotation classes exceed the enumeration cap {BRUTE_FORCE_CAP}"
         )
     return n_comb
 
@@ -292,13 +306,13 @@ def solve_brute_force(
 ) -> CellSolveResult:
     """Exact minimizer over {0,1} profiles with k_ones ones.
 
-    mode "all_subsets" covers every k-subset of cells (capped at 1e7
-    combinations). The energy is rotation invariant, so one subset per
-    rotation class is scored: its lexicographically smallest rotation,
-    which contains cell 0. Representatives are visited in lexicographic
-    order, and a subset replaces the incumbent only when it is lower by more
-    than 1e-12 * max(1, k_ones^2 * max|row|), so near-ties keep the subset
-    seen first. Energy and minimizer are those of a scan over all k-subsets
+    mode "all_subsets" covers every k-subset of cells (capped at
+    BRUTE_FORCE_CAP rotation classes). The energy is rotation invariant, so
+    one subset per rotation class is scored: its lexicographically smallest
+    rotation, which contains cell 0. Representatives are visited in
+    lexicographic order, and a subset replaces the incumbent only when it is
+    lower by more than 1e-12 * max(1, k_ones^2 * max|row|), so near-ties
+    keep the subset seen first. Energy and minimizer are those of a scan over all k-subsets
     in lexicographic order; the minimizer is reported in its canonical
     (smallest) rotation. ``iterations`` is still C(n, k_ones), the number
     of subsets covered, not the number scored.

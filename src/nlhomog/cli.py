@@ -1,8 +1,10 @@
 """Command-line interface: experiments, config ingestion, structured output.
 
-``COMMANDS`` declares the config fields each subcommand reads. A subcommand
-registers flags for those fields and the run flags --config --output-dir
---threads --seed only, and a config file may set only those fields.
+``COMMANDS`` declares the config fields each subcommand reads, some of them
+only under one value of a selector field (cell-solve's method, energy's
+potential). A subcommand registers flags for all its fields and the run flags
+--config --output-dir --threads --seed only; a flag or config-file field that
+the selected variant does not read is a config error.
 Every subcommand writes a JSON report (machine consumption) and, where the
 result is tabular, a CSV next to it (plotting). A report embeds the
 command's fields plus seed and a schema_version field, and identical configs
@@ -41,7 +43,7 @@ from .gammalab import (
     two_scale_pairing,
 )
 from .kernel import PeriodicStepKernel, make_lambda_kernel
-from .states import StepFunction, TripleWellPotential, integrate, oscillating_profile
+from .states import StepFunction, TripleWellPotential, oscillating_profile
 from .util import ResourceLimitError, dump_json, make_pmap, write_csv
 
 SCHEMA_VERSION = 1
@@ -142,18 +144,34 @@ FLAGS = {
 RUN_FIELDS = ("output_dir", "threads", "seed")
 
 
+def command_fields(command: str, cfg=None) -> tuple:
+    """The fields command reads besides RUN_FIELDS: its own, plus those of
+    the variant that cfg's selector value picks (of every variant when cfg
+    is None)."""
+    _, fields, variants = COMMANDS[command]
+    for selector, by_value in variants.items():
+        # a tuple compares by ==, so an unhashable config-file value is refused too
+        if cfg is not None and cfg[selector] not in tuple(by_value):
+            raise ConfigError(f"{selector} must be {'|'.join(by_value)}, got {cfg[selector]!r}")
+        picked = by_value.values() if cfg is None else [by_value[cfg[selector]]]
+        fields = tuple(dict.fromkeys(fields + sum(picked, ())))
+    return fields
+
+
 def _resolve_config(args) -> dict:
-    """The command's fields and the run fields: defaults, then the config
-    file, then flags."""
-    cfg = {key: DEFAULTS[key] for key in COMMANDS[args.command][1] + RUN_FIELDS}
-    if args.config:
-        for key, val in _load_config_file(args.config).items():
-            if key not in cfg:
-                raise ConfigError(f"{args.command} reads no config field {key!r}")
-            cfg[key] = val
-    for key in cfg:
+    """The fields the command reads and the run fields: defaults, then the
+    config file, then flags."""
+    given = _load_config_file(args.config) if args.config else {}
+    for key in command_fields(args.command) + RUN_FIELDS:
         if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+            given[key] = getattr(args, key)
+    selected = {key: given.get(key, DEFAULTS[key]) for key in COMMANDS[args.command][2]}
+    cfg = {key: DEFAULTS[key] for key in command_fields(args.command, selected) + RUN_FIELDS}
+    for key, val in given.items():
+        if key not in cfg:
+            variant = "".join(f" with {k} {v}" for k, v in selected.items())
+            raise ConfigError(f"{args.command}{variant} reads no config field {key!r}")
+        cfg[key] = val
     for key in ("eps_grid", "M_grid"):
         if isinstance(cfg.get(key), str):
             cfg[key] = _parse_grid(cfg[key])
@@ -180,14 +198,6 @@ def _kernel_from_config(cfg) -> PeriodicStepKernel:
         return make_lambda_kernel(cfg["alpha"], cfg["beta"], cfg["lambda"])
     except ValueError as e:
         raise ConfigError(f"kernel parameters: {e}") from e
-
-
-def _potential_from_config(cfg) -> TripleWellPotential:
-    if cfg["potential"] == "infinite":
-        return TripleWellPotential()
-    if cfg["potential"] == "capped":
-        return TripleWellPotential(cap=float(cfg["cap"]))
-    raise ConfigError(f"potential must be 'infinite' or 'capped', got {cfg['potential']!r}")
 
 
 def _step_function_from_config(cfg) -> StepFunction:
@@ -223,7 +233,7 @@ def _emit(cfg, command: str, result: dict, out_json: str, csv=None) -> Path:
 
 def _cmd_energy(cfg, pmap) -> int:
     kern = _kernel_from_config(cfg)
-    pot = _potential_from_config(cfg)
+    pot = TripleWellPotential(cap=float(cfg["cap"]) if cfg["potential"] == "capped" else None)
     u = _step_function_from_config(cfg)
     rep = evaluate(u, pot, kern, cfg["eps"], value_tol=cfg["value_tol"])
     result = {"exact": rep.to_json()}
@@ -260,14 +270,11 @@ def _cmd_gamma_table(cfg, pmap) -> int:
 
 def _cmd_cell_solve(cfg, pmap) -> int:
     method = cfg["method"]
-    if method == "closed_form" and cfg["kernel"]:
-        raise ConfigError("method closed_form is the lambda-weight formula; it reads no kernel file")
-    kern = _kernel_from_config(cfg)
     if method == "closed_form":
         val = gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["t"])
         result = {"method": "closed_form", "t": cfg["t"], "energy": val}
     elif method == "projected_gradient":
-        K = build_cell_matrix(kern, int(cfg["n"]))
+        K = build_cell_matrix(_kernel_from_config(cfg), int(cfg["n"]))
         res = solve_relaxed(K, cfg["t"], seed=int(cfg["seed"]))
         result = {
             "method": res.method,
@@ -278,10 +285,10 @@ def _cmd_cell_solve(cfg, pmap) -> int:
             "converged": res.converged,
             "profile": res.profile.values.tolist(),
         }
-    elif method == "brute_force":
+    else:
         if cfg["mode"] == "all_subsets":
             enumeration_size(int(cfg["n"]), int(cfg["k_ones"]))
-        K = build_cell_matrix(kern, int(cfg["n"]))
+        K = build_cell_matrix(_kernel_from_config(cfg), int(cfg["n"]))
         res = solve_brute_force(K, int(cfg["k_ones"]), mode=cfg["mode"])
         result = {
             "method": res.method,
@@ -291,8 +298,6 @@ def _cmd_cell_solve(cfg, pmap) -> int:
             "subsets_examined": res.iterations,
             "minimizer_cells": res.extras["indices"],
         }
-    else:
-        raise ConfigError(f"method must be closed_form|projected_gradient|brute_force, got {method!r}")
     path = _emit(cfg, "cell-solve", result, "cell_solve.json")
     print(
         f"Cell problem solved by {method}: energy {result['energy']:.12g} "
@@ -367,14 +372,8 @@ def _cmd_two_scale(cfg, pmap) -> int:
     psi2 = _kernel_from_config(cfg)
     arcs = optimal_profile(cfg["t"])
     psi1 = StepFunction.constant(1.0)
-    # exact limit: integral of psi1 times the cell average of profile * psi2
-    overlap = 0.0
-    edges = psi2.endpoints
-    for a, b in arcs:
-        for i in range(len(psi2.values)):
-            lo, hi = max(a, edges[i]), min(b, edges[i + 1])
-            overlap += max(0.0, hi - lo) * psi2.values[i]
-    limit = integrate(psi1) * overlap
+    # exact limit: with psi1 == 1 it is the pairing over one period (eps = 1)
+    limit = two_scale_pairing(oscillating_profile(0.0, arcs, 1.0), psi1, psi2, 1.0)
 
     def one(eps):
         chi = oscillating_profile(0.0, arcs, eps)
@@ -463,17 +462,23 @@ def _cmd_reproduce_all(cfg, pmap) -> int:
 LAMBDA = ("alpha", "beta", "lambda")
 WEIGHT = LAMBDA + ("kernel",)
 
-# command -> (handler, the config fields it reads besides RUN_FIELDS)
+# command -> (handler, the config fields it reads besides RUN_FIELDS,
+#             {selector field: {selector value: the further fields it reads}})
 COMMANDS = {
-    "energy": (_cmd_energy, WEIGHT + ("potential", "cap", "eps", "u", "quad_n", "value_tol")),
-    "gamma-table": (_cmd_gamma_table, LAMBDA + ("t_steps",)),
-    "cell-solve": (_cmd_cell_solve, WEIGHT + ("method", "t", "n", "k_ones", "mode")),
-    "cell-verify": (_cmd_cell_verify, LAMBDA + ("n",)),
-    "gamma-limit": (_cmd_gamma_limit, LAMBDA + ("c", "eps_grid")),
-    "two-scale": (_cmd_two_scale, WEIGHT + ("t", "eps_grid")),
-    "non-rep": (_cmd_non_rep, LAMBDA + ("s1", "s2", "difference_tol", "eps_grid", "study_tol")),
-    "fm-threshold": (_cmd_fm_threshold, LAMBDA + ("eps", "M_grid")),
-    "reproduce-all": (_cmd_reproduce_all, ()),
+    "energy": (_cmd_energy, WEIGHT + ("potential", "eps", "u", "quad_n", "value_tol"),
+               {"potential": {"infinite": (), "capped": ("cap",)}}),
+    "gamma-table": (_cmd_gamma_table, LAMBDA + ("t_steps",), {}),
+    "cell-solve": (_cmd_cell_solve, ("method",), {"method": {
+        "closed_form": LAMBDA + ("t",),
+        "projected_gradient": WEIGHT + ("t", "n"),
+        "brute_force": WEIGHT + ("n", "k_ones", "mode"),
+    }}),
+    "cell-verify": (_cmd_cell_verify, LAMBDA + ("n",), {}),
+    "gamma-limit": (_cmd_gamma_limit, LAMBDA + ("c", "eps_grid"), {}),
+    "two-scale": (_cmd_two_scale, WEIGHT + ("t", "eps_grid"), {}),
+    "non-rep": (_cmd_non_rep, LAMBDA + ("s1", "s2", "difference_tol", "eps_grid", "study_tol"), {}),
+    "fm-threshold": (_cmd_fm_threshold, LAMBDA + ("eps", "M_grid"), {}),
+    "reproduce-all": (_cmd_reproduce_all, (), {}),
 }
 
 
@@ -483,11 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments on non-local pair energies with oscillating periodic weights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, fields) in COMMANDS.items():
+    for name in COMMANDS:
         # no abbreviations: --eps must not turn into --eps-grid where only that exists
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON (or TOML on Python 3.11+) config file")
-        for field in fields + RUN_FIELDS:
+        for field in command_fields(name) + RUN_FIELDS:
             flag, kwargs = FLAGS[field]
             p.add_argument(flag, dest=field, **kwargs)
     return parser

@@ -43,7 +43,7 @@ admits it and 1/eps = 2^20.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,12 +61,7 @@ class EnergyReport:
     bound: float  # error bound; 0 for exact
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "eps": self.eps,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def rect_integral(

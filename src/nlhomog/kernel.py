@@ -43,8 +43,6 @@ class PeriodicStepFunction(StepFunction):
         t = np.asarray(t, dtype=float)
         return super().eval(t - np.floor(t))
 
-    __call__ = eval
-
 
 @dataclass(frozen=True)
 class AntiderivativeTable:

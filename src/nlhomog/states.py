@@ -53,8 +53,6 @@ class StepFunction:
         out = self.values[idx]
         return float(out) if out.ndim == 0 else out
 
-    __call__ = eval
-
     def ess_inf(self) -> float:
         return float(np.min(self.values))
 
@@ -112,20 +110,6 @@ class TripleWellPotential:
         off_cost = math.inf if self.cap is None else float(self.cap)
         out = np.where(snapped, np.where(nearest == 1, 1.0, 0.0), off_cost)
         return float(out) if out.ndim == 0 else out
-
-    def to_json(self) -> dict:
-        if self.cap is None:
-            return {"kind": "infinite"}
-        return {"kind": "capped", "cap": self.cap}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TripleWellPotential":
-        kind = obj.get("kind", "infinite")
-        if kind == "infinite":
-            return cls()
-        if kind == "capped":
-            return cls(cap=float(obj["cap"]))
-        raise ValueError(f"unknown potential kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -222,39 +206,17 @@ def _merge_touching(arcs: list) -> list:
     return out
 
 
-def _arcs_from_indicator(profile) -> list:
-    """Contiguous {0,1} cell runs of a grid profile, as arcs in [0, 1]."""
-    values = np.asarray(profile.values, dtype=float)
-    if np.any((values != 0.0) & (values != 1.0)):
-        raise ValueError("grid profile must be {0,1}-valued to serve as an indicator")
-    n = values.size
-    arcs = []
-    start = None
-    for i in range(n):
-        if values[i] == 1.0 and start is None:
-            start = i
-        if values[i] == 0.0 and start is not None:
-            arcs.append((start / n, i / n))
-            start = None
-    if start is not None:
-        arcs.append((start / n, 1.0))
-    return arcs
-
-
-def oscillating_profile(z: float, arcs, eps: float) -> StepFunction:
+def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFunction:
     """The step function x -> z + chi_arcs(x/eps mod 1) on (0,1).
 
-    The indicator's support within the unit cell is given either as a list of
-    arcs or as a {0,1}-valued grid profile (anything with a ``values``
-    attribute). Intervals of equal value arising across period boundaries are
+    The indicator's support within the unit cell is a sorted list of disjoint
+    arcs. Intervals of equal value arising across period boundaries are
     merged, so the breakpoint count is at most 2*runs/eps + 2, where runs is
     the number of cyclic runs of the indicator. That estimate is checked
     against ``util.MAX_INTERVALS`` before anything is built.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    if hasattr(arcs, "values"):
-        arcs = _arcs_from_indicator(arcs)
     arcs = _merge_touching(_validate_arcs(arcs))
     n_periods = math.ceil(1.0 / eps - 1e-12)
     # cyclic runs of the indicator; an arc ending at 1 continues one at 0

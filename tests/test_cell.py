@@ -110,20 +110,12 @@ class TestOptimalProfile:
         assert optimal_profile(0.0) == []
 
     def test_boundary_arcs(self):
-        assert optimal_profile(0.5, "low_cost_at_zero") == [(0.0, 0.25), (0.75, 1.0)]
-
-    def test_centered_arc(self):
-        assert optimal_profile(0.5, "low_cost_at_half") == [(0.25, 0.75)]
+        assert optimal_profile(0.5) == [(0.0, 0.25), (0.75, 1.0)]
 
     @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 0.93, 1.0])
     def test_total_length(self, t):
-        for orientation in ("low_cost_at_zero", "low_cost_at_half"):
-            arcs = optimal_profile(t, orientation)
-            assert sum(b - a for a, b in arcs) == pytest.approx(t, abs=1e-15)
-
-    def test_unknown_orientation(self):
-        with pytest.raises(ValueError):
-            optimal_profile(0.5, "sideways")
+        arcs = optimal_profile(t)
+        assert sum(b - a for a, b in arcs) == pytest.approx(t, abs=1e-15)
 
 
 class TestCellMatrix:
@@ -327,6 +319,59 @@ class TestSolveRelaxed:
             solve_relaxed(K, 1.2)
 
 
+def _exact_box_mean_projection(x, t):
+    """clip(x - tau, 0, 1) whose mean is t, with tau found by bisection: the
+    mean is non-increasing in tau, 1 at min(x) - 1 and 0 at max(x)."""
+    lo, hi = float(np.min(x)) - 1.0, float(np.max(x))
+    for _ in range(200):
+        tau = 0.5 * (lo + hi)
+        if np.mean(np.clip(x - tau, 0.0, 1.0)) > t:
+            lo = tau
+        else:
+            hi = tau
+    return np.clip(x - 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def _assert_is_projection(y, x, t):
+    """y is the exact projection of x up to the stopping rule: a mean error
+    of PROJECTION_TOL shifts tau, and so each free value, by up to
+    PROJECTION_TOL * n / (number of free values)."""
+    exact = _exact_box_mean_projection(x, t)
+    free = np.count_nonzero((exact > 0.0) & (exact < 1.0))
+    assert np.max(np.abs(y - exact)) <= cell.PROJECTION_TOL * x.size / max(free, 1)
+
+
+class TestProjectBoxMean:
+    @pytest.mark.parametrize("n", [8, 64, 257])
+    def test_inside_box_equals_exact_projection(self, n):
+        rng = np.random.default_rng(n)
+        for t in (0.1, 0.37, 0.5, 0.9):
+            x = rng.uniform(0.0, 1.0, n)
+            y, ok = cell.project_box_mean(x, t)
+            assert ok
+            _assert_is_projection(y, x, t)
+
+    @pytest.mark.parametrize("n", [8, 64, 257])
+    def test_any_input_lands_in_the_set(self, n):
+        # outside the box the result is the projection of clip(x, 0, 1)
+        rng = np.random.default_rng(100 + n)
+        for t in (0.05, 0.37, 0.5, 0.95):
+            for scale in (1.0, 3.0, 50.0):
+                x = rng.normal(0.5, scale, n)
+                y, ok = cell.project_box_mean(x, t)
+                assert ok
+                assert np.all((y >= 0.0) & (y <= 1.0))
+                assert abs(np.mean(y) - t) <= cell.PROJECTION_TOL
+                _assert_is_projection(y, np.clip(x, 0.0, 1.0), t)
+
+    def test_degenerate_fractions_return_corners(self):
+        x = np.random.default_rng(7).normal(0.5, 2.0, 16)
+        for t, corner in ((0.0, 0.0), (1.0, 1.0)):
+            y, ok = cell.project_box_mean(x, t)
+            assert ok
+            assert np.all(y == corner)
+
+
 class TestBruteForce:
     def test_arc_optimal_for_cheap_short_range(self):
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 16)
@@ -354,6 +399,25 @@ class TestBruteForce:
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 40)
         with pytest.raises(ResourceLimitError, match=r"solve_brute_force: C\(40,20\) = \d+ subsets"):
             solve_brute_force(K, 20, mode="all_subsets")
+
+    def test_rotation_classes_match_necklace_count(self):
+        from nlhomog._accel import necklace_gaps
+
+        for n in range(1, 17):
+            for k in range(1, n + 1):
+                assert cell.rotation_classes(n, k) == len(necklace_gaps(n, k)) // k, (n, k)
+
+    def test_cap_admits_n30_k15_by_rotation_classes(self):
+        # 5 170 604 classes; C(30, 15) = 155 117 520 subsets would exceed the cap
+        assert cell.rotation_classes(30, 15) == 5_170_604 <= cell.BRUTE_FORCE_CAP
+        assert cell.enumeration_size(30, 15) == math.comb(30, 15)
+
+    def test_cap_refuses_n40_k20_naming_subsets_and_classes(self):
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"C\(40,20\) = 137846528820 subsets in 3446167860 rotation classes",
+        ):
+            cell.enumeration_size(40, 20)
 
     def test_all_subsets_never_above_arcs(self):
         rng = np.random.default_rng(5)

@@ -240,14 +240,36 @@ class TestPerCommandFields:
         monkeypatch.chdir(tmp_path)
         Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
         dispatch([command] + (["--u", "u.json"] if command == "energy" else []))
-        declared = set(cli.COMMANDS[command][1])
+        declared = set(cli.command_fields(command, cli.DEFAULTS))
         assert set(read_json(REPORTS[command])["config"]) == declared | {"seed"}
 
     @pytest.mark.parametrize("command", REPORTS)
     def test_parser_registers_declared_fields_and_run_flags(self, command):
         actions = _subparsers()[command]._actions
         dests = {a.dest for a in actions if a.dest != "help"}
-        assert dests == set(cli.COMMANDS[command][1]) | {"config", "output_dir", "threads", "seed"}
+        assert dests == set(cli.command_fields(command)) | {"config", "output_dir", "threads", "seed"}
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (["cell-solve"], "alpha beta lambda method t"),
+            (["cell-solve", "--method", "projected_gradient", "--n", "16"],
+             "alpha beta lambda kernel method t n"),
+            (["cell-solve", "--method", "brute_force"],
+             "alpha beta lambda kernel method n k_ones mode"),
+            (["energy", "--u", "u.json"],
+             "alpha beta lambda kernel potential eps u quad_n value_tol"),
+            (["energy", "--u", "u.json", "--potential", "capped"],
+             "alpha beta lambda kernel potential cap eps u quad_n value_tol"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+    )
+    def test_variant_report_embeds_only_its_fields(self, tmp_path, monkeypatch, argv, fields):
+        monkeypatch.chdir(tmp_path)
+        Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        assert dispatch(argv) == 0
+        report = read_json(REPORTS[argv[0]])
+        assert set(report["config"]) == set(fields.split()) | {"seed"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -258,6 +280,17 @@ class TestPerCommandFields:
             ["gamma-table", "--quad-n", "5"],
             ["gamma-table", "--config", "c.json"],  # a field gamma-table does not read
             ["gamma-limit", "--eps", "0.1"],  # no abbreviation of --eps-grid
+            # a field the selected method or potential does not read
+            ["cell-solve", "--method", "brute_force", "--t", "0.3"],
+            ["cell-solve", "--n", "16"],
+            ["cell-solve", "--k-ones", "4"],
+            ["cell-solve", "--mode", "arcs_only"],
+            ["cell-solve", "--method", "projected_gradient", "--k-ones", "4"],
+            ["cell-solve", "--method", "projected_gradient", "--mode", "arcs_only"],
+            ["cell-solve", "--config", "bf.json"],  # brute force with t
+            ["cell-solve", "--method", "newton"],
+            ["energy", "--cap", "3"],
+            ["energy", "--config", "cap.json"],  # cap under the infinite potential
         ] + [[command, "--s", "0.9"] for command in REPORTS],
         ids=lambda v: "-".join(v),
     )
@@ -266,8 +299,11 @@ class TestPerCommandFields:
         Path("k.json").write_text(json.dumps({"breakpoints": [0.0], "values": [2.0]}))
         Path("c.json").write_text(json.dumps({"t_steps": 5, "kernel": "k.json"}))
         Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        Path("bf.json").write_text(json.dumps({"method": "brute_force", "t": 0.3}))
+        Path("cap.json").write_text(json.dumps({"cap": 3.0}))
+        inputs = ["bf.json", "c.json", "cap.json", "k.json", "u.json"]
         assert dispatch(argv + (["--u", "u.json"] if argv[0] == "energy" else [])) == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "k.json", "u.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 class TestCertificateCommands:

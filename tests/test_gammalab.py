@@ -22,6 +22,7 @@ from nlhomog import (
     step_limit_value,
     two_scale_pairing,
 )
+from nlhomog import gammalab
 from nlhomog.kernel import PeriodicStepFunction
 
 EPS_GRID = [1.0 / m for m in (8, 16, 32, 64)]
@@ -37,13 +38,19 @@ class TestConstantLimit:
         assert gamma_limit_constant_value(1.0, 2.0, 1e-9) == pytest.approx(1.0, abs=1e-6)
 
     def test_equals_cell_minimum_everywhere(self):
+        # written-out best-arc value at t = 1/2, independent of gamma_closed_form
         rng = np.random.default_rng(9)
+        inverted = 0
         for _ in range(30):
             alpha, beta = rng.uniform(0.2, 4.0, 2)
             lam = rng.uniform(0.01, 0.99)
+            inverted += alpha > beta
+            one_m = (1.0 - lam) ** 2
+            expected = ((1.0 - one_m) * alpha + one_m * beta) / 2.0
             assert gamma_limit_constant_value(alpha, beta, lam) == pytest.approx(
-                gamma_closed_form(alpha, beta, lam, 0.5), abs=1e-12
+                expected, abs=1e-12
             )
+        assert 0 < inverted < 30
 
 
 class TestHomogenizedF:
@@ -199,6 +206,18 @@ class TestImpliedUnitJumpCost:
         with pytest.raises(ValueError):
             implied_g1(0.0, 1.0, 2.0, 0.5)
 
+    def test_matches_written_out_formula(self):
+        # ratio * (lam^2 alpha + (1 - lam^2) beta) / 2, alpha > beta included
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            alpha, beta = rng.uniform(0.2, 4.0, 2)
+            lam, s = rng.uniform(0.01, 0.99, 2)
+            ratio = (s * s + (1 - s) ** 2) / (2 * s * (1 - s))
+            expected = ratio * (lam * lam * alpha + (1 - lam * lam) * beta) / 2
+            assert implied_g1(s, alpha, beta, lam) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+
     def test_difference_identity(self):
         # g(s1) - g(s2) == (mean - cell_min) * (r(s1) - r(s2))
         alpha, beta, lam = 1.0, 2.0, 0.5
@@ -257,12 +276,11 @@ class TestCappedThreshold:
             assert row["deviation_energies"][1] == pytest.approx(0.75 + 0.75 * M, abs=1e-10)
             assert row["deviation_energies"][2] == pytest.approx(0.75 + 0.75 * M, abs=1e-10)
 
-    def test_custom_family_and_inconclusive(self):
+    def test_custom_family_and_inconclusive(self, monkeypatch):
         # an admissible profile never becomes strictly worse than the optimum
         # at its own volume fraction, so the verdict cannot be confirmed
         fake_deviation = oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / 32.0)
-        cert = fM_threshold_experiment(
-            1.0, 2.0, 0.5, eps=1.0 / 32.0, M_grid=(1.0, 2.0), deviation_profiles=[fake_deviation]
-        )
+        monkeypatch.setattr(gammalab, "DEVIATION_PROFILES", (fake_deviation,))
+        cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=1.0 / 32.0, M_grid=(1.0, 2.0))
         assert cert.verdict == "inconclusive"
         assert cert.payload["threshold_M"] is None

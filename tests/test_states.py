@@ -16,7 +16,6 @@ from nlhomog import (
     oscillating_profile,
 )
 from nlhomog import util
-from nlhomog.states import _arcs_from_indicator
 
 
 class TestPotential:
@@ -77,10 +76,6 @@ class TestPotential:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             TripleWellPotential(cap=0.5)
-
-    def test_json_round_trip(self):
-        for p in (TripleWellPotential(), TripleWellPotential(cap=3.0)):
-            assert TripleWellPotential.from_json(p.to_json()) == p
 
 
 class TestStepFunction:
@@ -234,8 +229,6 @@ def _random_arcs(rng):
 
 class TestOscillatingProfile:
     def test_matches_reference_loop_bit_for_bit(self):
-        from nlhomog import CellProfile
-
         rng = np.random.default_rng(3)
         for case in range(300):
             arcs = _random_arcs(rng)
@@ -249,14 +242,6 @@ class TestOscillatingProfile:
             bp, vals = _reference_profile(z, arcs, eps)
             assert np.array_equal(u.breakpoints, bp), (arcs, eps)
             assert np.array_equal(u.values, vals), (arcs, eps)
-        for n in (4, 8, 12, 16):
-            for case in range(10):
-                grid = CellProfile.from_values(rng.integers(0, 2, n).astype(float))
-                eps = 1.0 / float(rng.choice([rng.integers(1, 300), rng.uniform(1.0, 300.0)]))
-                u = oscillating_profile(0.25, grid, eps)
-                bp, vals = _reference_profile(0.25, _arcs_from_indicator(grid), eps)
-                assert np.array_equal(u.breakpoints, bp)
-                assert np.array_equal(u.values, vals)
 
     def test_quarter_eps_profile(self):
         u = oscillating_profile(-0.5, optimal_profile(0.5), 0.25)
@@ -299,22 +284,6 @@ class TestOscillatingProfile:
         # 2_000_001 intervals; the estimate is checked before anything is built
         n_periods = 10**6
         assert 2 * n_periods + 2 <= util.MAX_INTERVALS
-
-    def test_grid_indicator_input(self):
-        from nlhomog import CellProfile
-
-        grid = CellProfile.from_arcs(optimal_profile(0.5), 8)
-        u_grid = oscillating_profile(-0.5, grid, 0.25)
-        u_arcs = oscillating_profile(-0.5, optimal_profile(0.5), 0.25)
-        assert np.array_equal(u_grid.breakpoints, u_arcs.breakpoints)
-        assert np.array_equal(u_grid.values, u_arcs.values)
-
-    def test_fractional_grid_profile_rejected(self):
-        from nlhomog import CellProfile
-
-        frac = CellProfile.from_values([0.5, 0.5, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            oscillating_profile(0.0, frac, 0.25)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
