@@ -34,7 +34,9 @@ The L^2 level-pair terms are added with ``math.fsum``, so the result does not
 depend on the order of the levels.
 
 ``brute_force_search`` scores one k-subset per rotation class of the cell
-grid (see ``necklace_gaps``). Every kernel here is plain numpy and Python;
+grid, streamed in blocks by ``necklace_gaps`` in lexicographic order, so its
+memory is O(``SEARCH_CHUNK`` * k * min(k, ``STEP_DEPTH``)) for any number of
+classes. Every kernel here is plain numpy and Python;
 numba is used nowhere. ``HAVE_NUMBA`` (numba importable) and
 ``USE_NUMBA`` (that, unless HOMOG_DISABLE_NUMBA=1 is set at import) select
 no code path: they are kept only because benchmark reports record them.
@@ -45,7 +47,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-from array import array
 
 import numpy as np
 
@@ -165,74 +166,132 @@ def quadrature_energy(centers, lengths, iu, w, kbp, kvals, eps):
 # k-subsets in lexicographic order first meets each class.
 # ---------------------------------------------------------------------------
 
+SEARCH_CHUNK = 4096  # rows per block of necklace_gaps, children per expansion step
+STEP_DEPTH = 16  # deeper steps build fewer children: at most SEARCH_CHUNK * STEP_DEPTH gaps
+
+
 def necklace_gaps(n, k):
     """Gap sequences of the k-subsets of Z_n that are lexicographically
-    smallest among their rotations, in lexicographic order, as a flat array.
+    smallest among their rotations, in lexicographic order, as a stream of
+    (m, k) blocks.
 
     The subset {0, g_1, g_1 + g_2, ...} has cyclic gaps g_1..g_k (each >= 1,
     summing to n); it is the smallest rotation of its class exactly when its
     gap sequence is the smallest of the k rotations of that sequence, i.e. a
-    necklace. The FKM recursion (Ruskey & Sawada, SIAM J. Comput. 1999)
-    builds prenecklaces by ``g_t >= g_{t-p}``, where the period p resets to t
-    when g_t grows; every gap is at least g_1, which bounds each g_t, and the
-    last gap is forced to n minus the others. Needs 1 <= k <= n.
+    necklace. The FKM tree (Ruskey & Sawada, SIAM J. Comput. 1999) builds
+    prenecklaces by ``g_t >= g_{t-p}``, where the period p resets to t when
+    g_t grows; every gap is at least g_1, which bounds each g_t, and the
+    last gap is forced to n minus the others.
+
+    The tree is expanded in numpy, a group of parents of one level at a
+    time: each parent's children are a ramp of values from g_{t-p}, laid out
+    by ``np.repeat``, so children listed parent by parent stay in
+    lexicographic order. Every level keeps a queue of prefixes waiting to be
+    expanded; the deepest level with a full group (children for one step, or
+    all that its parents will give) is expanded next, so queues stay short
+    and steps full. A step builds at most SEARCH_CHUNK children, fewer past
+    depth STEP_DEPTH so that it holds at most SEARCH_CHUNK * STEP_DEPTH gaps
+    (a single parent may have up to n children): memory is
+    O(SEARCH_CHUNK * k * min(k, STEP_DEPTH)). Necklaces are passed on in
+    blocks of SEARCH_CHUNK rows, the last one shorter. Gaps are int16, or
+    int32 from n = 2^15. Needs 1 <= k <= n.
     """
-    out = array("h" if n < 2**15 else "i")  # 16-bit gaps where they fit
+    dtype = np.int16 if n < 2**15 else np.int32
     if k == 1:
-        out.append(n)
-        return out
-    g = [0] * (k + 1)  # g[1..k]; g[0] = 0 lies below every gap
-    before_sum = [0] * k  # g_1 + ... + g_{t-1}, for the free positions t < k
-    before_per = [1] * k  # period of g_1..g_{t-1}
-    t = 1
-    while t:
-        v = g[t] + 1
-        limit = n // k if t == 1 else n - before_sum[t] - (k - t) * g[1]
-        if v > limit:
-            t -= 1
+        yield np.full((1, 1), n, dtype=dtype)
+        return
+    # queue[t]: prefixes g_1..g_t with at least one child, in lexicographic
+    # order, as (gaps, sum, period, first value of g_{t+1}, number of values
+    # of g_{t+1}); the empty prefix's g_1 runs from 1 to n // k
+    one = np.ones(1, dtype=dtype)
+    queue = [(np.zeros((1, 0), dtype=dtype), one - 1, one, one, one * (n // k))]
+    queue += [None] * (k - 2)
+    waiting = [n // k] + [0] * (k - 2)  # children the queued prefixes will give
+    closed = [True] + [False] * (k - 2)  # no more prefixes will arrive
+    held, rows = [], 0  # necklaces not yet passed on
+    t = 0
+    while True:
+        limit = max(SEARCH_CHUNK * STEP_DEPTH // max(t + 1, STEP_DEPTH), 1)
+        if not closed[t] and waiting[t] < limit:
+            t -= 1  # expand more parents first
             continue
-        g[t] = v
-        p = before_per[t] if v == g[t - before_per[t]] else t
-        s = before_sum[t] + v
-        if t + 1 < k:
+        if queue[t] is None:
+            if t == k - 2:
+                break
+            closed[t + 1] = True
             t += 1
-            before_sum[t], before_per[t] = s, p
-            g[t] = g[t - p] - 1  # the first value tried at t is g[t-p]
             continue
-        last = n - s
-        ref = g[k - p]
-        if last > ref or (last == ref and k % p == 0):
-            out.extend(g[1:k])
-            out.append(last)
-    return out
-
-
-SEARCH_CHUNK = 4096  # subsets brute_force_search scores per numpy pass
+        G, S, P, start, cnt = queue[t]
+        cum = np.cumsum(cnt)
+        m = max(int(np.searchsorted(cum, limit, side="right")), 1)
+        queue[t] = None if m == cnt.size else (G[m:], S[m:], P[m:], start[m:], cnt[m:])
+        waiting[t] -= int(cum[m - 1])
+        G, S, P, start, cnt = G[:m], S[:m], P[:m], start[:m], cnt[:m]
+        rep = np.repeat(np.arange(m), cnt)
+        ramp = np.arange(rep.size) - np.repeat(cum[:m] - cnt, cnt)
+        v = start[rep] + ramp
+        child = np.empty((rep.size, t + 1), dtype=dtype)
+        child[:, :-1] = G[rep]
+        child[:, -1] = v
+        S = S[rep] + v
+        P = np.where(ramp == 0, P[rep], t + 1)  # g_{t+1} = g_{t+1-p} keeps the period
+        del G, rep, ramp, v, start, cnt, cum
+        if t + 1 < k - 1:
+            # g_{t+2} runs from g_{t+2-p} to what leaves g_1 for each later gap
+            start = child[np.arange(child.shape[0]), t + 1 - P].astype(np.intp)
+            cnt = np.maximum(n - S - (k - t - 2) * child[:, 0] - start + 1, 0)
+            live = cnt > 0
+            # every entry is at most n: the queue holds them in the gap dtype
+            new = tuple(a[live].astype(dtype) for a in (child, S, P, start, cnt))
+            if queue[t + 1] is not None:
+                new = tuple(np.concatenate(pair) for pair in zip(queue[t + 1], new))
+            if new[0].shape[0]:
+                queue[t + 1] = new
+                waiting[t + 1] += int(np.sum(cnt))
+            t += 1
+            continue
+        # the last gap is forced; keep the sequences that are necklaces
+        last = n - S
+        ref = child[np.arange(child.shape[0]), k - 1 - P]  # g_{k-p}
+        keep = (last > ref) | ((last == ref) & (k % P == 0))
+        held.append(np.concatenate([child[keep], last[keep, None].astype(dtype)], axis=1))
+        rows += held[-1].shape[0]
+        if rows >= SEARCH_CHUNK:
+            block = np.concatenate(held)
+            full = rows - rows % SEARCH_CHUNK
+            for lo in range(0, full, SEARCH_CHUNK):
+                yield block[lo:lo + SEARCH_CHUNK]
+            held, rows = [block[full:]], rows - full
+    if rows:
+        yield np.concatenate(held)
 
 
 def brute_force_search(row, n, k, tie_tol):
     """Minimize s(S) over k-subsets of Z_n, one subset per rotation class.
 
-    Representatives are scored in lexicographic order with the same sum, in
-    the same order, as a scan of all subsets would use; a subset replaces the
-    incumbent only when it is better by more than tie_tol. A later rotation
-    of a class is a plain shift, whose sum is bit-identical, or a wrapped
-    one, which differs only by rounding, so neither could replace it: the
-    result equals that of the full lexicographic scan.
+    Representatives stream in from ``necklace_gaps`` in lexicographic order,
+    a block at a time, so memory stays O(SEARCH_CHUNK * k * min(k,
+    STEP_DEPTH)) however many classes there are. Each is scored with the same sum, in the same order,
+    as a scan of all subsets would use (``row2[n - i_a + i_b]`` with
+    ``row2 = row`` repeated twice is ``row[(i_b - i_a) mod n]``); a subset
+    replaces the incumbent only when it is better by more than tie_tol. A
+    later rotation of a class is a plain shift, whose sum is bit-identical,
+    or a wrapped one, which differs only by rounding, so neither could
+    replace it: the result equals that of the full lexicographic scan.
     """
     if k == 0:
         return 0.0, np.zeros(0, dtype=np.int64)
-    buf = necklace_gaps(n, k)
-    gaps = np.frombuffer(buf, dtype=buf.typecode).reshape(-1, k)
+    row2 = np.concatenate([row, row])
     best = np.inf
     best_idx = np.arange(k)
-    for lo in range(0, gaps.shape[0], SEARCH_CHUNK):
-        idx = np.zeros((min(SEARCH_CHUNK, gaps.shape[0] - lo), k), dtype=np.int64)
-        np.cumsum(gaps[lo:lo + SEARCH_CHUNK, :-1], axis=1, out=idx[:, 1:])
+    for gaps in necklace_gaps(n, k):
+        idx = np.zeros(gaps.shape, dtype=np.int32)
+        np.cumsum(gaps[:, :-1], axis=1, out=idx[:, 1:])
         s = np.zeros(idx.shape[0])
         for a in range(k):
+            base = n - idx[:, a].astype(np.intp)
             for b in range(k):
-                s += row[(idx[:, b] - idx[:, a]) % n]
+                s += row2[base + idx[:, b]]
         for pos in np.nonzero(s < best - tie_tol)[0]:
             if s[pos] < best - tie_tol:
                 best = float(s[pos])

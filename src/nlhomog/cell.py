@@ -161,9 +161,15 @@ def cell_energy(K: CellKernelMatrix, phi) -> float:
     v = phi.values if isinstance(phi, CellProfile) else np.asarray(phi, dtype=float)
     if v.shape != (K.n,):
         raise ValueError(f"profile has {v.shape[0]} cells, matrix expects {K.n}")
-    J = float(v @ K.matvec(v)) / (K.n * K.n)
+    return _energy_and_kv(K, v)[0]
+
+
+def _energy_and_kv(K: CellKernelMatrix, v: np.ndarray):
+    """cell_energy of v and the matvec K v it is computed from."""
+    Kv = K.matvec(v)
+    J = float(v @ Kv) / (K.n * K.n)
     t = float(np.sum(v) / K.n)
-    return 2.0 * J - 2.0 * K.abar * t + K.abar
+    return 2.0 * J - 2.0 * K.abar * t + K.abar, Kv
 
 
 @dataclass(frozen=True)
@@ -246,14 +252,14 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
     for x0 in starts:
         x, ok0 = project_box_mean(x0, t)
         all_ok &= ok0
-        best_local = cell_energy(K, x)
+        best_local, Kx = _energy_and_kv(K, x)
         best_x = x.copy()
         it_used = RELAXED_MAX_ITER
         for it in range(RELAXED_MAX_ITER):
-            grad = 4.0 * K.matvec(x) / (n * n)
+            grad = 4.0 * Kx / (n * n)
             x_new, okp = project_box_mean(x - step * grad, t)
             all_ok &= okp
-            e_new = cell_energy(K, x_new)
+            e_new, Kx = _energy_and_kv(K, x_new)
             if e_new < best_local:
                 best_local = e_new
                 best_x = x_new.copy()

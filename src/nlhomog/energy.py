@@ -72,16 +72,12 @@ def rect_integral(
         raise ValueError("degenerate rectangle")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    corners = (x1 - y0, x1 - y1, x0 - y0, x0 - y1)
-    if max(abs(c) for c in corners) / eps > PERIODIC_REDUCTION_RANGE:
+    corners = np.array((x1 - y0, x1 - y1, x0 - y0, x0 - y1)) / eps
+    if np.max(np.abs(corners)) > PERIODIC_REDUCTION_RANGE:
         raise ArgumentRangeError("corner argument exceeds the periodic reduction range")
-    per = (
-        k.periodic_part(corners[0] / eps)
-        - k.periodic_part(corners[1] / eps)
-        - k.periodic_part(corners[2] / eps)
-        + k.periodic_part(corners[3] / eps)
-    )
-    return k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per
+    p = k.periodic_part(corners)
+    per = p[0] - p[1] - p[2] + p[3]
+    return float(k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per)
 
 
 def _level_structure(u: StepFunction, p: TripleWellPotential, tol: float):

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -153,11 +154,77 @@ def _lexicographic_scan(row, n, k, tie_tol, chunk=4096):
     return best, np.asarray(best_idx, dtype=np.int64)
 
 
+def _fkm_reference(n, k):
+    """The FKM recursion written out one node at a time: necklace gap
+    sequences of the k-subsets of Z_n in lexicographic order, as a flat array."""
+    out = array("h" if n < 2**15 else "i")
+    if k == 1:
+        out.append(n)
+        return out
+    g = [0] * (k + 1)  # g[1..k]; g[0] = 0 lies below every gap
+    before_sum = [0] * k  # g_1 + ... + g_{t-1}, for the free positions t < k
+    before_per = [1] * k  # period of g_1..g_{t-1}
+    t = 1
+    while t:
+        v = g[t] + 1
+        limit = n // k if t == 1 else n - before_sum[t] - (k - t) * g[1]
+        if v > limit:
+            t -= 1
+            continue
+        g[t] = v
+        p = before_per[t] if v == g[t - before_per[t]] else t
+        s = before_sum[t] + v
+        if t + 1 < k:
+            t += 1
+            before_sum[t], before_per[t] = s, p
+            g[t] = g[t - p] - 1  # the first value tried at t is g[t-p]
+            continue
+        last = n - s
+        ref = g[k - p]
+        if last > ref or (last == ref and k % p == 0):
+            out.extend(g[1:k])
+            out.append(last)
+    return out
+
+
+def _necklace_blocks(n, k):
+    """The blocks necklace_gaps streams, checked for shape and size: full
+    blocks of SEARCH_CHUNK rows, the last one shorter."""
+    blocks = list(_accel.necklace_gaps(n, k))
+    for i, b in enumerate(blocks):
+        assert b.ndim == 2 and b.shape[1] == k
+        assert 1 <= b.shape[0] <= _accel.SEARCH_CHUNK, (n, k, b.shape)
+        assert b.shape[0] == _accel.SEARCH_CHUNK or i == len(blocks) - 1, (n, k, i)
+    return blocks
+
+
+def _necklace_array(n, k):
+    return np.concatenate(_necklace_blocks(n, k))
+
+
 class TestSubsetSearch:
+    def test_blocks_match_fkm_reference(self):
+        for n in range(1, 23):
+            for k in range(1, n + 1):
+                ref = _fkm_reference(n, k)
+                got = _necklace_array(n, k)
+                assert got.dtype == np.dtype(ref.typecode), (n, k)
+                assert np.array_equal(got.ravel(), np.frombuffer(ref, dtype=ref.typecode)), (n, k)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_small_chunks_match_fkm_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(_accel, "SEARCH_CHUNK", chunk)
+        # n = 200, k = 3: the root alone has 66 children, well above the chunk;
+        # k = 20 runs past STEP_DEPTH, where steps build fewer children
+        cases = [(n, k) for n in range(1, 15) for k in range(1, n + 1)]
+        for n, k in cases + [(200, 3), (37, 5), (24, 20)]:
+            got = np.concatenate(_necklace_blocks(n, k)).ravel()
+            assert np.array_equal(got, np.array(_fkm_reference(n, k))), (chunk, n, k)
+
     def test_representatives_are_smallest_rotations_in_order(self):
         for n in range(1, 15):
             for k in range(1, n + 1):
-                gaps = np.array(_accel.necklace_gaps(n, k)).reshape(-1, k)
+                gaps = _necklace_array(n, k)
                 assert np.all(gaps.sum(axis=1) == n)
                 starts = np.concatenate([np.zeros((gaps.shape[0], 1), int),
                                          np.cumsum(gaps[:, :-1], axis=1)], axis=1)

@@ -318,6 +318,27 @@ class TestSolveRelaxed:
         with pytest.raises(ValueError):
             solve_relaxed(K, 1.2)
 
+    def test_one_matvec_per_step(self, monkeypatch):
+        # every start projects once and scores its start; every step projects
+        # once and reuses the energy's matvec as the next gradient
+        calls = {"matvec": 0, "project": 0}
+        matvec, project = CellKernelMatrix.matvec, cell.project_box_mean
+
+        def counting_matvec(self, v):
+            calls["matvec"] += 1
+            return matvec(self, v)
+
+        def counting_project(x, t):
+            calls["project"] += 1
+            return project(x, t)
+
+        monkeypatch.setattr(CellKernelMatrix, "matvec", counting_matvec)
+        monkeypatch.setattr(cell, "project_box_mean", counting_project)
+        K = build_cell_matrix(make_lambda_kernel(1.3, 0.8, 0.4), 64)
+        res = solve_relaxed(K, 0.3)
+        assert res.converged and calls["project"] > 3 + res.iterations
+        assert calls["matvec"] == calls["project"]
+
 
 def _exact_box_mean_projection(x, t):
     """clip(x - tau, 0, 1) whose mean is t, with tau found by bisection: the
@@ -405,7 +426,8 @@ class TestBruteForce:
 
         for n in range(1, 17):
             for k in range(1, n + 1):
-                assert cell.rotation_classes(n, k) == len(necklace_gaps(n, k)) // k, (n, k)
+                classes = sum(b.shape[0] for b in necklace_gaps(n, k))
+                assert cell.rotation_classes(n, k) == classes, (n, k)
 
     def test_cap_admits_n30_k15_by_rotation_classes(self):
         # 5 170 604 classes; C(30, 15) = 155 117 520 subsets would exceed the cap

@@ -66,6 +66,32 @@ class TestRectIntegral:
             approx = vals.mean() * (rect[1] - rect[0]) * (rect[3] - rect[2])
             assert exact == pytest.approx(approx, abs=2e-3)
 
+    def test_one_corner_call_matches_four_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(2000):
+            nseg = int(rng.integers(1, 6))
+            bp = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, nseg - 1))])
+            k = PeriodicStepKernel(bp, rng.uniform(0.2, 3.0, bp.size))
+            eps = float(rng.uniform(1e-3, 2.0))
+            x0, y0 = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+            x1 = x0 + float(rng.uniform(1e-6, 2.0))
+            y1 = y0 + float(rng.uniform(1e-6, 2.0))
+            per = (
+                k.periodic_part((x1 - y0) / eps)
+                - k.periodic_part((x1 - y1) / eps)
+                - k.periodic_part((x0 - y0) / eps)
+                + k.periodic_part((x0 - y1) / eps)
+            )
+            expected = k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per
+            got = rect_integral(k, eps, x0, x1, y0, y1)
+            assert type(got) is float and got == expected
+
+    def test_corner_range_guard(self):
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        with pytest.raises(ArgumentRangeError):
+            # only the last corner, x0 - y1, lies beyond the range
+            rect_integral(k, 1.0, 0.0, 1.0, 1e12 - 1.5, 1e12 + 0.5)
+
     def test_degenerate_rectangle(self):
         k = make_lambda_kernel(1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
