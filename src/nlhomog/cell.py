@@ -31,14 +31,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
 from .energy import rect_integral
-from .kernel import PeriodicStepKernel, check_lambda_parameters
+from .kernel import PeriodicStepKernel, check_lambda_parameters, lambda_weight_mean
 from .states import Arc
 from .util import ResourceLimitError
 
 BRUTE_FORCE_CAP = 10_000_000  # rotation classes an all-subsets search may score
 FFT_MATVEC_THRESHOLD = 1024  # CellKernelMatrix.matvec uses the FFT from this n on
-PROJECTION_TOL = 1e-12  # project_box_mean: mean error and last step
-PROJECTION_MAX_ITER = 500
 RELAXED_TOL = 1e-12  # solve_relaxed: largest change of one step
 RELAXED_MAX_ITER = 5000
 
@@ -52,7 +50,7 @@ def gamma_closed_form(alpha: float, beta: float, lam: float, t: float) -> float:
     check_lambda_parameters(alpha, beta, lam)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    abar = lam * alpha + (1.0 - lam) * beta
+    abar = lambda_weight_mean(alpha, beta, lam)
     if t <= lam / 2.0:
         return 2.0 * alpha * t * t - 2.0 * abar * t + abar
     if t <= 1.0 - lam / 2.0:
@@ -169,7 +167,12 @@ def _energy_and_kv(K: CellKernelMatrix, v: np.ndarray):
     Kv = K.matvec(v)
     J = float(v @ Kv) / (K.n * K.n)
     t = float(np.sum(v) / K.n)
-    return 2.0 * J - 2.0 * K.abar * t + K.abar, Kv
+    return _assemble_energy(K, J, t), Kv
+
+
+def _assemble_energy(K: CellKernelMatrix, J: float, t: float) -> float:
+    """F = 2*J - 2*mean_weight*t + mean_weight from the quadratic form J."""
+    return 2.0 * J - 2.0 * K.abar * t + K.abar
 
 
 @dataclass(frozen=True)
@@ -186,34 +189,28 @@ class CellSolveResult:
 def project_box_mean(x: np.ndarray, t: float):
     """Projection of clip(x, 0, 1) onto {values in [0,1]} intersect {mean = t}.
 
-    Dykstra alternation between the two sets, started from clip(x, 0, 1).
-    That start makes the result the projection of clip(x, 0, 1), which is the
-    projection of x only when x already lies in the box. t <= 0 and t >= 1
-    return the corner points 0 and 1. Returns (y, ok); ok is False when
-    PROJECTION_MAX_ITER steps end with the mean error or the last step above
-    PROJECTION_TOL.
+    That is the projection of x only when x lies in the box; t <= 0 and
+    t >= 1 return the corners 0 and 1. For y = clip(x, 0, 1) one bound binds:
+    0 when mean(y) > t, giving max(y - tau, 0) with tau from the values sorted
+    descending and their cumulative sums (Wang & Lu, "Projection onto the
+    capped simplex", 2015); else 1, the same problem on 1 - y. Returns
+    (y, True): the projection is exact, so the second item is always True.
     """
     if t <= 0.0:  # the intersection degenerates to a corner point
         return np.zeros_like(x), True
     if t >= 1.0:
         return np.ones_like(x), True
     y = np.clip(x, 0.0, 1.0)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    ok = False
-    for _ in range(PROJECTION_MAX_ITER):
-        w = y + p
-        h = w + (t - np.mean(w))
-        p = w - h
-        w2 = h + q
-        y_new = np.clip(w2, 0.0, 1.0)
-        q = w2 - y_new
-        moved = float(np.max(np.abs(y_new - y)))
-        y = y_new
-        if abs(np.mean(y) - t) <= PROJECTION_TOL and moved <= PROJECTION_TOL:
-            ok = True
-            break
-    return y, ok
+    mean = np.mean(y)
+    if mean == t:
+        return y, True
+    flip = mean < t
+    z, target = (1.0 - y, (1.0 - t) * y.size) if flip else (y, t * y.size)
+    s = np.sort(z)[::-1]
+    tau = (np.cumsum(s) - target) / np.arange(1, z.size + 1)
+    rho = np.flatnonzero(s > tau)[-1]
+    w = np.maximum(z - tau[rho], 0.0)
+    return (1.0 - w if flip else w), True
 
 
 def _spectral_norm(K: CellKernelMatrix) -> float:
@@ -230,11 +227,11 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
     """Projected gradient on the relaxed cell problem over [0,1]^n, mean = t.
 
     The step is 1/(2L), L the spectral norm of K/n^2. A start stops when one
-    step changes no value by more than RELAXED_TOL, or after
-    RELAXED_MAX_ITER steps. The quadratic form is indefinite on the constraint tangent space in
-    general, so this is a local method; it is seeded from the discretized
-    arc profile, the flat profile, and a random feasible point, and reports
-    the best iterate found across the three starts.
+    step changes no value by more than RELAXED_TOL, or after RELAXED_MAX_ITER
+    steps; ``converged`` says every start stopped by RELAXED_TOL. The form is
+    indefinite on the constraint tangent space in general, so this local
+    method starts from the discretized arc profile, the flat profile and a
+    random feasible point, and reports the best iterate of the three starts.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -248,17 +245,15 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
         rng.uniform(0.0, 1.0, n),
     ]
     best_phi, best_energy, best_iters = None, math.inf, 0
-    all_ok = True
+    converged = True
     for x0 in starts:
-        x, ok0 = project_box_mean(x0, t)
-        all_ok &= ok0
+        x, _ = project_box_mean(x0, t)
         best_local, Kx = _energy_and_kv(K, x)
         best_x = x.copy()
         it_used = RELAXED_MAX_ITER
         for it in range(RELAXED_MAX_ITER):
             grad = 4.0 * Kx / (n * n)
-            x_new, okp = project_box_mean(x - step * grad, t)
-            all_ok &= okp
+            x_new, _ = project_box_mean(x - step * grad, t)
             e_new, Kx = _energy_and_kv(K, x_new)
             if e_new < best_local:
                 best_local = e_new
@@ -268,7 +263,7 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
                 break
             x = x_new
         else:
-            all_ok = False
+            converged = False
         if best_local < best_energy:
             best_energy = best_local
             best_phi = best_x
@@ -280,7 +275,7 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
         method="projected_gradient",
         iterations=best_iters,
         constraint_residual=abs(profile.mean - t),
-        converged=all_ok,
+        converged=converged,
     )
 
 
@@ -344,8 +339,7 @@ def solve_brute_force(
         raise ValueError(f"unknown mode {mode!r}")
     values = np.zeros(n)
     values[idx] = 1.0
-    J = raw / (n * n)
-    energy = 2.0 * J - 2.0 * K.abar * t + K.abar
+    energy = _assemble_energy(K, raw / (n * n), t)
     return CellSolveResult(
         profile=CellProfile.from_values(values),
         energy=float(energy),

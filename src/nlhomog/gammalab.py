@@ -21,7 +21,7 @@ import numpy as np
 
 from .cell import gamma_closed_form, optimal_profile
 from .energy import evaluate
-from .kernel import PeriodicStepFunction, make_lambda_kernel
+from .kernel import PeriodicStepFunction, lambda_weight_mean, make_lambda_kernel
 from .states import (
     StepFunction,
     TripleWellPotential,
@@ -246,7 +246,7 @@ def step_limit_value(s: float, alpha: float, beta: float, lam: float) -> float:
     """Limit energy of the single-jump target: mean * (s^2 + (1-s)^2)."""
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie strictly inside (0, 1)")
-    abar = lam * alpha + (1.0 - lam) * beta
+    abar = lambda_weight_mean(alpha, beta, lam)
     return abar * (s * s + (1.0 - s) ** 2)
 
 
@@ -261,7 +261,7 @@ def implied_g1(s: float, alpha: float, beta: float, lam: float) -> float:
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie strictly inside (0, 1)")
     ratio = (s * s + (1.0 - s) ** 2) / (2.0 * s * (1.0 - s))
-    abar = lam * alpha + (1.0 - lam) * beta
+    abar = lambda_weight_mean(alpha, beta, lam)
     return ratio * (abar - gamma_limit_constant_value(alpha, beta, lam))
 
 

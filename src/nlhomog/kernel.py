@@ -125,6 +125,11 @@ def check_lambda_parameters(alpha: float, beta: float, lam: float) -> None:
         raise ValueError("lam must lie in (0, 1)")
 
 
+def lambda_weight_mean(alpha: float, beta: float, lam: float) -> float:
+    """Mean of the two-value weight, lam*alpha + (1-lam)*beta."""
+    return lam * alpha + (1.0 - lam) * beta
+
+
 def make_lambda_kernel(alpha: float, beta: float, lam: float) -> PeriodicStepKernel:
     """Two-value weight: alpha on [0, lam/2) and [1-lam/2, 1), beta between.
 

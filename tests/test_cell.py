@@ -339,6 +339,16 @@ class TestSolveRelaxed:
         assert res.converged and calls["project"] > 3 + res.iterations
         assert calls["matvec"] == calls["project"]
 
+    def test_step_cap_reports_no_convergence(self, monkeypatch):
+        K = build_cell_matrix(make_lambda_kernel(1.3, 0.8, 0.4), 64)
+        needed = solve_relaxed(K, 0.3)
+        assert needed.converged
+        # the reported start needs needed.iterations steps; one fewer stops it
+        monkeypatch.setattr(cell, "RELAXED_MAX_ITER", needed.iterations - 1)
+        capped = solve_relaxed(K, 0.3)
+        assert not capped.converged
+        assert capped.energy >= needed.energy
+
 
 def _exact_box_mean_projection(x, t):
     """clip(x - tau, 0, 1) whose mean is t, with tau found by bisection: the
@@ -354,12 +364,9 @@ def _exact_box_mean_projection(x, t):
 
 
 def _assert_is_projection(y, x, t):
-    """y is the exact projection of x up to the stopping rule: a mean error
-    of PROJECTION_TOL shifts tau, and so each free value, by up to
-    PROJECTION_TOL * n / (number of free values)."""
-    exact = _exact_box_mean_projection(x, t)
-    free = np.count_nonzero((exact > 0.0) & (exact < 1.0))
-    assert np.max(np.abs(y - exact)) <= cell.PROJECTION_TOL * x.size / max(free, 1)
+    """y is the projection of clip(x, 0, 1), to 1e-12 in every value."""
+    exact = _exact_box_mean_projection(np.clip(x, 0.0, 1.0), t)
+    assert np.max(np.abs(y - exact)) <= 1e-12
 
 
 class TestProjectBoxMean:
@@ -382,8 +389,8 @@ class TestProjectBoxMean:
                 y, ok = cell.project_box_mean(x, t)
                 assert ok
                 assert np.all((y >= 0.0) & (y <= 1.0))
-                assert abs(np.mean(y) - t) <= cell.PROJECTION_TOL
-                _assert_is_projection(y, np.clip(x, 0.0, 1.0), t)
+                assert abs(np.mean(y) - t) <= 1e-12
+                _assert_is_projection(y, x, t)
 
     def test_degenerate_fractions_return_corners(self):
         x = np.random.default_rng(7).normal(0.5, 2.0, 16)
@@ -391,6 +398,56 @@ class TestProjectBoxMean:
             y, ok = cell.project_box_mean(x, t)
             assert ok
             assert np.all(y == corner)
+
+    def test_clipped_mean_already_t_comes_back_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (5, 64, 1000):
+            x = rng.normal(0.5, 0.7, n)
+            t = float(np.mean(np.clip(x, 0.0, 1.0)))
+            y, _ = cell.project_box_mean(x, t)
+            assert np.array_equal(y, np.clip(x, 0.0, 1.0))
+
+    def test_indicator_is_fixed_at_its_mean(self):
+        # k = 6 ones in n = 16 cells: at t = k/n the indicator is fixed; below
+        # it the ones share n*t, above it the zeros share n*t - k
+        n, k = 16, 6
+        x = np.zeros(n)
+        x[[0, 3, 4, 9, 10, 11]] = 1.0
+        y, _ = cell.project_box_mean(x, k / n)
+        assert np.array_equal(y, x)
+        for t in (0.1, 0.3, 0.5, 0.9):
+            y, _ = cell.project_box_mean(x, t)
+            expected = np.where(x == 1.0, min(n * t / k, 1.0), max((n * t - k) / (n - k), 0.0))
+            assert np.max(np.abs(y - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("c, t", [(0.2, 0.7), (0.9, 0.3), (-4.0, 0.6), (5.0, 0.01)])
+    def test_equal_values_shift_to_t(self, c, t):
+        y, _ = cell.project_box_mean(np.full(12, c), t)
+        assert np.max(np.abs(y - t)) <= 1e-15
+
+    def test_two_cells(self):
+        for x, t, expected in (([0.9, 0.1], 0.3, [0.6, 0.0]), ([0.0, 1.0], 0.75, [0.5, 1.0]),
+                               ([2.0, -1.0], 0.5, [1.0, 0.0]), ([0.3, 0.3], 0.8, [0.8, 0.8])):
+            y, _ = cell.project_box_mean(np.array(x), t)
+            assert np.max(np.abs(y - expected)) <= 1e-15
+            _assert_is_projection(y, np.array(x), t)
+
+    @pytest.mark.parametrize("t", [1e-9, 1.0 - 1e-9])
+    def test_fractions_next_to_the_corners(self, t):
+        rng = np.random.default_rng(3)
+        for x in (rng.uniform(0.0, 1.0, 100), rng.normal(0.5, 2.0, 100)):
+            y, _ = cell.project_box_mean(x, t)
+            assert np.all((y >= 0.0) & (y <= 1.0))
+            assert abs(np.mean(y) - t) <= 1e-15
+            _assert_is_projection(y, x, t)
+
+    def test_large_grid(self):
+        rng = np.random.default_rng(4096)
+        for t in (0.02, 0.438, 0.97):
+            x = rng.normal(0.5, 0.6, 4096)
+            y, _ = cell.project_box_mean(x, t)
+            assert abs(np.mean(y) - t) <= 1e-13
+            _assert_is_projection(y, x, t)
 
 
 class TestBruteForce:
