@@ -34,7 +34,6 @@ from .gammalab import (
     ConvergenceStudy,
     fM_threshold_experiment,
     gamma_limit_constant_value,
-    homogenized_F,
     implied_g1,
     non_representability_certificate,
     run_flat_study,

@@ -350,6 +350,14 @@ def solve_brute_force(
     )
 
 
+def compare_with_arcs(K: CellKernelMatrix, k_ones: int):
+    """(all-subsets result, arcs-only result, whether their minima agree
+    within 1e-9): the check that arcs are optimal at k_ones ones."""
+    r_all = solve_brute_force(K, k_ones, mode="all_subsets")
+    r_arc = solve_brute_force(K, k_ones, mode="arcs_only")
+    return r_all, r_arc, abs(r_all.energy - r_arc.energy) <= 1e-9
+
+
 def is_cyclic_arc(indices: Sequence[int], n: int) -> bool:
     """True when the index set forms one contiguous run modulo n."""
     idx = sorted(set(int(i) for i in indices))

@@ -1,10 +1,11 @@
 """Command-line interface: experiments, config ingestion, structured output.
 
-``COMMANDS`` declares the config fields each subcommand reads, some of them
-only under one value of a selector field (cell-solve's method, energy's
-potential). A subcommand registers flags for all its fields and the run flags
---config --output-dir --threads --seed only; a flag or config-file field that
-the selected variant does not read is a config error.
+``FIELDS`` declares each config field's flag and default, and ``COMMANDS``
+the fields each subcommand reads, some of them only under one value of a
+selector field (cell-solve's method, energy's potential). A subcommand
+registers flags for all its fields and the run flags --config --output-dir
+--threads --seed only; a flag or config-file field that the selected variant
+does not read is a config error.
 Every subcommand writes a JSON report (machine consumption) and, where the
 result is tabular, a CSV next to it (plotting). A report embeds the
 command's fields plus seed and a schema_version field, and identical configs
@@ -26,6 +27,7 @@ import numpy as np
 from . import acceptance
 from .cell import (
     build_cell_matrix,
+    compare_with_arcs,
     enumeration_size,
     gamma_closed_form,
     optimal_profile,
@@ -43,7 +45,7 @@ from .gammalab import (
     two_scale_pairing,
 )
 from .kernel import PeriodicStepKernel, make_lambda_kernel
-from .states import StepFunction, TripleWellPotential, oscillating_profile
+from .states import DEFAULT_VALUE_TOL, StepFunction, TripleWellPotential, oscillating_profile
 from .util import ResourceLimitError, dump_json, make_pmap, write_csv
 
 SCHEMA_VERSION = 1
@@ -79,63 +81,35 @@ def _parse_grid(text):
         raise ConfigError(f"bad grid value: {text!r}") from e
 
 
-DEFAULTS = {
-    "alpha": 1.0,
-    "beta": 2.0,
-    "lambda": 0.5,
-    "kernel": None,  # path to kernel JSON; overrides alpha/beta/lambda
-    "potential": "infinite",
-    "cap": 8.0,
-    "c": 0.0,
-    "t": 0.5,
-    "t_steps": 101,
-    "s1": 0.5,
-    "s2": 0.25,
-    "eps": 0.03125,
-    "eps_grid": list(DEFAULT_EPS_GRID),
-    "M_grid": list(DEFAULT_M_GRID),
-    "n": None,  # cell grid: 16 on the exhaustive paths, else 256
-    "k_ones": 8,
-    "method": "closed_form",
-    "mode": "all_subsets",
-    "quad_n": 0,
-    "difference_tol": 1e-3,
-    "study_tol": 1e-2,
-    "value_tol": 1e-12,
-    "output_dir": ".",
-    "threads": 1,
-    "seed": 20260809,
-    "u": None,
-}
-
-# field -> (flag, argparse keywords); the flag's dest is the field name
-FLAGS = {
-    "alpha": ("--alpha", {"type": float}),
-    "beta": ("--beta", {"type": float}),
-    "lambda": ("--lambda", {"type": float}),
-    "kernel": ("--kernel", {"help": "kernel JSON path (overrides alpha/beta/lambda)"}),
-    "potential": ("--potential", {"choices": ["infinite", "capped"]}),
-    "cap": ("--cap", {"type": float}),
-    "c": ("--c", {"type": float}),
-    "t": ("--t", {"type": float}),
-    "t_steps": ("--t-steps", {"type": int}),
-    "s1": ("--s1", {"type": float}),
-    "s2": ("--s2", {"type": float}),
-    "eps": ("--eps", {"type": float}),
-    "eps_grid": ("--eps-grid", {}),
-    "M_grid": ("--M-grid", {}),
-    "n": ("--n", {"type": int}),
-    "k_ones": ("--k-ones", {"type": int}),
-    "method": ("--method", {}),
-    "mode": ("--mode", {}),
-    "quad_n": ("--quad-n", {"type": int}),
-    "difference_tol": ("--tol", {"type": float}),
-    "study_tol": ("--study-tol", {"type": float}),
-    "value_tol": ("--value-tol", {"type": float}),
-    "output_dir": ("--output-dir", {}),
-    "threads": ("--threads", {"type": int}),
-    "seed": ("--seed", {"type": int}),
-    "u": ("--u", {"help": "step-function JSON path"}),
+# field -> (flag, default, argparse keywords); the flag's dest is the field
+# name. A selector's values (potential, method) are declared in COMMANDS only.
+FIELDS = {
+    "alpha": ("--alpha", 1.0, {"type": float}),
+    "beta": ("--beta", 2.0, {"type": float}),
+    "lambda": ("--lambda", 0.5, {"type": float}),
+    "kernel": ("--kernel", None, {"help": "kernel JSON path (overrides alpha/beta/lambda)"}),
+    "potential": ("--potential", "infinite", {}),
+    "cap": ("--cap", 8.0, {"type": float}),
+    "c": ("--c", 0.0, {"type": float}),
+    "t": ("--t", 0.5, {"type": float}),
+    "t_steps": ("--t-steps", 101, {"type": int}),
+    "s1": ("--s1", 0.5, {"type": float}),
+    "s2": ("--s2", 0.25, {"type": float}),
+    "eps": ("--eps", 0.03125, {"type": float}),
+    "eps_grid": ("--eps-grid", list(DEFAULT_EPS_GRID), {}),
+    "M_grid": ("--M-grid", list(DEFAULT_M_GRID), {}),
+    "n": ("--n", None, {"type": int}),  # cell grid: 16 on the exhaustive paths, else 256
+    "k_ones": ("--k-ones", 8, {"type": int}),
+    "method": ("--method", "closed_form", {}),
+    "mode": ("--mode", "all_subsets", {}),
+    "quad_n": ("--quad-n", 0, {"type": int}),
+    "difference_tol": ("--tol", 1e-3, {"type": float}),
+    "study_tol": ("--study-tol", 1e-2, {"type": float}),
+    "value_tol": ("--value-tol", DEFAULT_VALUE_TOL, {"type": float}),
+    "output_dir": ("--output-dir", ".", {}),
+    "threads": ("--threads", 1, {"type": int}),
+    "seed": ("--seed", acceptance.DEFAULT_SEED, {"type": int}),
+    "u": ("--u", None, {"help": "step-function JSON path"}),
 }
 
 # every command also reads these; threads and output_dir are execution
@@ -165,8 +139,8 @@ def _resolve_config(args) -> dict:
     for key in command_fields(args.command) + RUN_FIELDS:
         if getattr(args, key) is not None:
             given[key] = getattr(args, key)
-    selected = {key: given.get(key, DEFAULTS[key]) for key in COMMANDS[args.command][2]}
-    cfg = {key: DEFAULTS[key] for key in command_fields(args.command, selected) + RUN_FIELDS}
+    selected = {key: given.get(key, FIELDS[key][1]) for key in COMMANDS[args.command][2]}
+    cfg = {key: FIELDS[key][1] for key in command_fields(args.command, selected) + RUN_FIELDS}
     for key, val in given.items():
         if key not in cfg:
             variant = "".join(f" with {k} {v}" for k, v in selected.items())
@@ -316,10 +290,8 @@ def _cmd_cell_verify(cfg, pmap) -> int:
     rows = []
     all_equal = True
     for k in ks:
-        r_all = solve_brute_force(K, k, mode="all_subsets")
-        r_arc = solve_brute_force(K, k, mode="arcs_only")
+        r_all, r_arc, equal = compare_with_arcs(K, k)
         closed = gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], k / n)
-        equal = abs(r_all.energy - r_arc.energy) <= 1e-9
         all_equal &= equal
         rows.append(
             {
@@ -492,8 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
         # no abbreviations: --eps must not turn into --eps-grid where only that exists
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON (or TOML on Python 3.11+) config file")
+        selectors = COMMANDS[name][2]
         for field in command_fields(name) + RUN_FIELDS:
-            flag, kwargs = FLAGS[field]
+            flag, _, kwargs = FIELDS[field]
+            if field in selectors:
+                kwargs = {**kwargs, "choices": list(selectors[field])}
             p.add_argument(flag, dest=field, **kwargs)
     return parser
 

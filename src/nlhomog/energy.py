@@ -80,6 +80,13 @@ def rect_integral(
     return float(k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per)
 
 
+def _check_eps(eps: float) -> None:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if 1.0 / eps > PERIODIC_REDUCTION_RANGE:
+        raise ArgumentRangeError("1/eps exceeds the periodic reduction range")
+
+
 def _level_structure(u: StepFunction, p: TripleWellPotential, tol: float):
     levels, level_idx = np.unique(u.values, return_inverse=True)
     wl = p.value(levels[:, None] - levels[None, :], tol)
@@ -96,10 +103,7 @@ def evaluate(
     """Exact energy. Infinite iff some increment leaves the wells under the
     uncapped potential; every interval pair has positive area, so any infinite
     weight short-circuits to +inf before touching arithmetic."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if 1.0 / eps > PERIODIC_REDUCTION_RANGE:
-        raise ArgumentRangeError("1/eps exceeds the periodic reduction range")
+    _check_eps(eps)
     P = u.values.shape[0]
     if P > util.MAX_INTERVALS:
         raise ResourceLimitError(f"evaluate: {P} intervals exceed the cap {util.MAX_INTERVALS}")
@@ -135,12 +139,11 @@ def evaluate_quadrature(
     For a constant weight the bound is pure float slack and the quadrature
     agrees with the exact evaluator to rounding. The refined grid has at most
     n + P cells; more than ``util.MAX_INTERVALS`` fails before anything is
-    allocated.
+    allocated. eps is checked as in ``evaluate``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     cells = n + u.values.shape[0]
     if cells > util.MAX_INTERVALS:
         raise ResourceLimitError(

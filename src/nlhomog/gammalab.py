@@ -22,12 +22,7 @@ import numpy as np
 from .cell import gamma_closed_form, optimal_profile
 from .energy import evaluate
 from .kernel import PeriodicStepFunction, lambda_weight_mean, make_lambda_kernel
-from .states import (
-    StepFunction,
-    TripleWellPotential,
-    admissible_interval,
-    oscillating_profile,
-)
+from .states import StepFunction, TripleWellPotential, oscillating_profile, periodic_cuts
 from .util import serial_map
 
 DEFAULT_EPS_GRID = tuple(1.0 / m for m in (8, 16, 32, 64, 128, 256))
@@ -75,33 +70,6 @@ def gamma_limit_constant_value(alpha: float, beta: float, lam: float) -> float:
     profiles cost less, so there it only bounds the limit from above.
     """
     return gamma_closed_form(alpha, beta, lam, 0.5)
-
-
-def _gamma_min_on_interval(alpha, beta, lam, lo, hi):
-    # branches are upward quadratics whose only interior vertex on its own
-    # branch is t = 1/2 (first/third branch vertices fall outside them), so
-    # endpoint + branch-point + 1/2 candidates are exhaustive
-    cands = [lo, hi]
-    for c in (lam / 2.0, 1.0 - lam / 2.0, 0.5):
-        if lo < c < hi:
-            cands.append(c)
-    vals = [gamma_closed_form(alpha, beta, lam, t) for t in cands]
-    i = int(np.argmin(vals))
-    return vals[i], cands[i]
-
-
-def homogenized_F(u: StepFunction, alpha: float, beta: float, lam: float) -> float:
-    """Candidate homogenized energy: min of the cell closed form over the
-    admissible volume fractions of u; +inf when that interval is empty
-    (essential oscillation exceeding 1). Proven to be the limit for constant
-    and single-jump targets; a candidate elsewhere."""
-    iv = admissible_interval(u)
-    if iv.empty:
-        return math.inf
-    lo = max(0.0, iv.iota)
-    hi = min(1.0, iv.sigma)
-    val, _ = _gamma_min_on_interval(alpha, beta, lam, lo, hi)
-    return val
 
 
 def _fit_rate(eps: Sequence[float], errs: Sequence[float], limit_ref: float):
@@ -221,21 +189,13 @@ def two_scale_pairing(
     """Exact integral of chi_eps(x) * psi1(x) * psi2(x/eps) over (0,1).
 
     All three factors are step functions, so splitting at every breakpoint
-    (including the eps-periodized ones of psi2) makes the integrand constant
-    on each piece.
+    (including the eps-periodized ones of psi2 and the period ends) makes the
+    integrand constant on each piece.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    cuts = [chi_eps.endpoints, psi1.endpoints]
-    n_periods = math.ceil(1.0 / eps)
-    per = [
-        (j + b) * eps
-        for j in range(n_periods + 1)
-        for b in psi2.breakpoints
-        if 0.0 < (j + b) * eps < 1.0
-    ]
-    cuts.append(np.array(per))
-    edges = np.unique(np.clip(np.concatenate(cuts), 0.0, 1.0))
+    per = periodic_cuts(np.append(psi2.breakpoints, 1.0), eps).reshape(-1)
+    edges = np.unique(np.concatenate([chi_eps.endpoints, psi1.endpoints, per]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     lens = np.diff(edges)
     vals = chi_eps.eval(mids) * psi1.eval(mids) * psi2.eval(mids / eps)

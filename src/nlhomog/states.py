@@ -206,6 +206,21 @@ def _merge_touching(arcs: list) -> list:
     return out
 
 
+def period_count(eps: float) -> int:
+    """Number of eps-periods that meet (0, 1): ceil(1/eps), less the slack
+    that keeps a whole-period grid with 1/eps rounded up by an ulp from
+    gaining an empty period."""
+    return math.ceil(1.0 / eps - 1e-12)
+
+
+def periodic_cuts(offsets, eps: float) -> np.ndarray:
+    """The eps-periodized points (j + o) * eps, capped at 1, of the cell
+    points o in offsets, one row per period j < period_count(eps). One
+    rounding per cut keeps whole-period grids exact."""
+    j = np.arange(period_count(eps), dtype=float)
+    return np.minimum((j[:, None] + np.asarray(offsets, dtype=float)[None, :]) * eps, 1.0)
+
+
 def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFunction:
     """The step function x -> z + chi_arcs(x/eps mod 1) on (0,1).
 
@@ -218,7 +233,7 @@ def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFuncti
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     arcs = _merge_touching(_validate_arcs(arcs))
-    n_periods = math.ceil(1.0 / eps - 1e-12)
+    n_periods = period_count(eps)
     # cyclic runs of the indicator; an arc ending at 1 continues one at 0
     runs = len(arcs) - int(bool(arcs) and arcs[0][0] == 0.0 and arcs[-1][1] == 1.0)
     est = 2 * max(runs, 1) * n_periods + 2
@@ -230,12 +245,9 @@ def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFuncti
         )
     # Period j is cut at (j+a)*eps and (j+b)*eps for each arc, then at
     # (j+1)*eps; each cut ends a piece of value 0 (gap), 1 (arc), ..., 0.
-    # One rounding per cut keeps whole-period grids exact.
     offsets = np.append(np.asarray(arcs, dtype=float).reshape(-1), 1.0)
     flags = np.append(np.tile([0.0, 1.0], len(arcs)), 0.0)
-    j = np.arange(n_periods, dtype=float)
-    cuts = np.minimum((j[:, None] + offsets[None, :]) * eps, 1.0).reshape(-1)
-    cuts = np.concatenate([[0.0], cuts])
+    cuts = np.concatenate([[0.0], periodic_cuts(offsets, eps).reshape(-1)])
     flags = np.tile(flags, n_periods)
     # drop zero-length pieces, merge equal neighbours
     keep = cuts[1:] > cuts[:-1]

@@ -240,7 +240,8 @@ class TestPerCommandFields:
         monkeypatch.chdir(tmp_path)
         Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
         dispatch([command] + (["--u", "u.json"] if command == "energy" else []))
-        declared = set(cli.command_fields(command, cli.DEFAULTS))
+        defaults = {field: spec[1] for field, spec in cli.FIELDS.items()}
+        declared = set(cli.command_fields(command, defaults))
         assert set(read_json(REPORTS[command])["config"]) == declared | {"seed"}
 
     @pytest.mark.parametrize("command", REPORTS)

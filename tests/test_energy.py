@@ -290,6 +290,17 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             evaluate_quadrature(StepFunction.constant(0.0), INF_POT, k, 0.1, n=1)
 
+    def test_eps_range_guard_matches_evaluate(self):
+        # one check for both evaluators: the exact one refuses 1/eps = 1e13,
+        # so the quadrature oracle must not answer there either
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        u = StepFunction([0.0, 0.5], [0.0, 1.0])
+        for fn in (evaluate, lambda *a: evaluate_quadrature(*a, n=16)):
+            with pytest.raises(ArgumentRangeError):
+                fn(u, INF_POT, k, 1e-13)
+            with pytest.raises(ValueError, match="eps must be positive"):
+                fn(u, INF_POT, k, 0.0)
+
     def test_randomized_agreement_within_bound(self):
         rng = np.random.default_rng(11)
         for i in range(10):

@@ -8,9 +8,7 @@ from nlhomog import (
     TripleWellPotential,
     evaluate,
     fM_threshold_experiment,
-    gamma_closed_form,
     gamma_limit_constant_value,
-    homogenized_F,
     implied_g1,
     make_lambda_kernel,
     non_representability_certificate,
@@ -38,7 +36,7 @@ class TestConstantLimit:
         assert gamma_limit_constant_value(1.0, 2.0, 1e-9) == pytest.approx(1.0, abs=1e-6)
 
     def test_equals_cell_minimum_everywhere(self):
-        # written-out best-arc value at t = 1/2, independent of gamma_closed_form
+        # written-out best-arc value at t = 1/2, independent of the cell closed form
         rng = np.random.default_rng(9)
         inverted = 0
         for _ in range(30):
@@ -51,25 +49,6 @@ class TestConstantLimit:
                 expected, abs=1e-12
             )
         assert 0 < inverted < 30
-
-
-class TestHomogenizedF:
-    def test_constant_independent_of_level(self):
-        for c in (-3.0, 0.0, 0.4, 11.0):
-            assert homogenized_F(StepFunction.constant(c), 1.0, 2.0, 0.5) == pytest.approx(
-                0.625, abs=1e-13
-            )
-
-    def test_large_oscillation_infinite(self):
-        u = StepFunction([0.0, 0.5], [0.0, 1.5])
-        assert homogenized_F(u, 1.0, 2.0, 0.5) == math.inf
-
-    @pytest.mark.parametrize("s", [0.25, 0.3, 0.5, 0.8])
-    def test_jump_target_hits_closed_form_at_s(self, s):
-        u = StepFunction([0.0, s], [1.0, 0.0])
-        assert homogenized_F(u, 1.0, 2.0, 0.5) == pytest.approx(
-            gamma_closed_form(1.0, 2.0, 0.5, s), abs=1e-13
-        )
 
 
 class TestRecoveryStudy:
@@ -158,6 +137,52 @@ class TestTwoScalePairing:
         psi1 = StepFunction([0.0, 0.5], [1.0, 0.0])
         flat = PeriodicStepFunction([0.0], [1.0])
         assert two_scale_pairing(chi, psi1, flat, 0.125) == pytest.approx(0.25, abs=1e-14)
+
+
+def _two_scale_pairing_per_period(chi_eps, psi1, psi2, eps):
+    """Oracle: two_scale_pairing with psi2's cuts built one period at a time."""
+    cuts = [chi_eps.endpoints, psi1.endpoints]
+    n_periods = math.ceil(1.0 / eps)
+    per = [
+        (j + b) * eps
+        for j in range(n_periods + 1)
+        for b in psi2.breakpoints
+        if 0.0 < (j + b) * eps < 1.0
+    ]
+    cuts.append(np.array(per))
+    edges = np.unique(np.clip(np.concatenate(cuts), 0.0, 1.0))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    lens = np.diff(edges)
+    vals = chi_eps.eval(mids) * psi1.eval(mids) * psi2.eval(mids / eps)
+    return float(np.dot(vals, lens))
+
+
+def _random_breakpoints(rng, pieces):
+    return np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, pieces - 1))])
+
+
+class TestTwoScaleCutGrid:
+    """The vectorised periodic cut grid gives the per-period loop's pairing
+    bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["whole", "fractional", "jittered"])
+    def test_matches_per_period_loop(self, kind):
+        rng = np.random.default_rng({"whole": 1, "fractional": 2, "jittered": 3}[kind])
+        for _ in range(40):
+            bp = _random_breakpoints(rng, int(rng.integers(1, 6)))
+            psi2 = PeriodicStepFunction(bp, rng.uniform(0.5, 3.0, bp.size))
+            bp1 = _random_breakpoints(rng, int(rng.integers(1, 4)))
+            psi1 = StepFunction(bp1, rng.uniform(-1.0, 2.0, bp1.size))
+            m = int(rng.integers(1, 200))
+            # jittered: 1/eps above m by less than the period count's slack,
+            # so that the last period start m * eps falls just below 1
+            inv_eps = {"whole": m, "fractional": m + rng.uniform(0.01, 0.99),
+                       "jittered": m + 5e-13}[kind]
+            eps = 1.0 / inv_eps
+            chi = oscillating_profile(0.0, optimal_profile(float(rng.uniform(0.05, 0.95))), eps)
+            got = two_scale_pairing(chi, psi1, psi2, eps)
+            want = _two_scale_pairing_per_period(chi, psi1, psi2, eps)
+            assert got == want
 
 
 class TestStepLimitValue:

@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every report each subcommand writes with its defaults.
+
+Every subcommand of ``nlhomog`` runs once, in-process and with its default
+config, in its own directory under a temporary directory; ``energy``, which
+has no default input, reads the fixed step function u = 1 on [1/2, 1), 0
+before. One line per JSON or CSV file written:
+
+    <sha256>  <subcommand>/<file>
+
+Two checkouts give the same lines exactly when their default reports are
+byte-identical. Run from the root of a checkout (no install needed):
+
+    python3 tools/report_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from nlhomog import StepFunction, cli  # noqa: E402
+
+
+def main() -> int:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in cli.COMMANDS:
+            rundir = Path(tmp) / command
+            rundir.mkdir()
+            argv = [command]
+            if command == "energy":
+                u = StepFunction([0.0, 0.5], [0.0, 1.0])
+                (rundir / "u.json").write_text(json.dumps(u.to_json()))
+                argv += ["--u", "u.json"]
+            os.chdir(rundir)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.dispatch(argv)
+            finally:
+                os.chdir(cwd)
+            for path in sorted(rundir.iterdir()):
+                if path.suffix in (".json", ".csv") and path.name != "u.json":
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{digest}  {command}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
