@@ -25,7 +25,9 @@ from .cell import (
 )
 from .energy import evaluate, evaluate_quadrature
 from .gammalab import (
+    DEFAULT_DIFFERENCE_TOL,
     DEFAULT_EPS_GRID,
+    DEFAULT_FM_EPS,
     DEFAULT_M_GRID,
     fM_threshold_experiment,
     gamma_limit_constant_value,
@@ -260,16 +262,14 @@ def criterion_6_step_target_limit(pmap: Optional[Callable] = None, **_) -> Crite
 
 
 def criterion_7_non_representability(pmap: Optional[Callable] = None, **_) -> CriterionResult:
-    cert = non_representability_certificate(
-        1.0, 2.0, 0.5, s1=0.5, s2=0.25, tol=1e-3, eps_grid=DEFAULT_EPS_GRID, pmap=pmap
-    )
+    cert = non_representability_certificate(1.0, 2.0, 0.5, eps_grid=DEFAULT_EPS_GRID, pmap=pmap)
     p = cert.payload
     ok = (
         cert.verdict == "confirmed"
         and abs(p["unit_jump_cost_s1"] - 0.875) <= 1e-9
         and abs(p["unit_jump_cost_s2"] - 35.0 / 24.0) <= 1e-9
         and abs(p["abs_difference"] - 7.0 / 12.0) <= 1e-9
-        and p["abs_difference"] > 1e-3
+        and p["abs_difference"] > DEFAULT_DIFFERENCE_TOL
     )
     return CriterionResult(
         cid=7,
@@ -280,20 +280,19 @@ def criterion_7_non_representability(pmap: Optional[Callable] = None, **_) -> Cr
 
 
 def criterion_8_capped_potential(pmap: Optional[Callable] = None, **_) -> CriterionResult:
-    cert = fM_threshold_experiment(
-        1.0, 2.0, 0.5, eps=1.0 / 32.0, M_grid=DEFAULT_M_GRID, pmap=pmap
-    )
+    eps = DEFAULT_FM_EPS
+    cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=eps, M_grid=DEFAULT_M_GRID, pmap=pmap)
     kern = make_lambda_kernel(1.0, 2.0, 0.5)
     admissible = [
-        oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / 32.0),
+        oscillating_profile(-0.5, optimal_profile(0.5), eps),
         StepFunction.constant(0.3),
         StepFunction([0.0, 0.5], [1.0, 0.0]),
     ]
     agree_gap = 0.0
     for u in admissible:
-        ref = evaluate(u, TripleWellPotential(), kern, 1.0 / 32.0).value
+        ref = evaluate(u, TripleWellPotential(), kern, eps).value
         for M in DEFAULT_M_GRID:
-            capped = evaluate(u, TripleWellPotential(cap=M), kern, 1.0 / 32.0).value
+            capped = evaluate(u, TripleWellPotential(cap=M), kern, eps).value
             agree_gap = max(agree_gap, abs(capped - ref))
     ok = cert.verdict == "confirmed" and agree_gap <= 1e-12
     return CriterionResult(

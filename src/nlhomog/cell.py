@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -129,20 +130,33 @@ class CellKernelMatrix:
     first_row: np.ndarray
     abar: float
 
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, built once: row i is ``r2[n-i : 2n-i]`` of the
+        doubled first row r2, windows of r2 read backwards and copied into
+        one contiguous array. No index matrix is formed."""
+        r2 = np.concatenate([self.first_row, self.first_row])
+        return np.ascontiguousarray(sliding_window_view(r2, self.n)[self.n:0:-1])
+
+    @cached_property
+    def conj_spectrum(self) -> np.ndarray:
+        """Conjugate DFT of the first row, computed once: the FFT matvec's
+        multiplier, and its moduli are the circulant's eigenvalue moduli."""
+        return np.conj(np.fft.fft(self.first_row))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y_i = sum_j row[(j-i) mod n] x_j; direct below FFT_MATVEC_THRESHOLD,
         FFT from there on.
 
-        The direct path builds the dense matrix from the doubled row r2: row i
-        is ``r2[n-i : 2n-i]``, so the rows are windows of r2 read backwards,
-        copied once into a contiguous n x n array for one BLAS product. No
-        index matrix is formed.
+        The direct path is one BLAS product with the cached ``dense`` matrix,
+        the FFT path one elementwise product with the cached
+        ``conj_spectrum``. Each operator is built on its first use and reused
+        by every later call on the same matrix; the threshold is read at each
+        call.
         """
         if self.n >= FFT_MATVEC_THRESHOLD:
-            freq = np.conj(np.fft.fft(self.first_row)) * np.fft.fft(x)
-            return np.fft.ifft(freq).real
-        r2 = np.concatenate([self.first_row, self.first_row])
-        return np.ascontiguousarray(sliding_window_view(r2, self.n)[self.n:0:-1]) @ x
+            return np.fft.ifft(self.conj_spectrum * np.fft.fft(x)).real
+        return self.dense @ x
 
 
 def build_cell_matrix(k: PeriodicStepKernel, n: int) -> CellKernelMatrix:
@@ -220,7 +234,7 @@ def _spectral_norm(K: CellKernelMatrix) -> float:
     is normal, so its largest |eigenvalue| is its spectral norm (Gray,
     "Toeplitz and Circulant Matrices: A Review").
     """
-    return float(np.max(np.abs(np.fft.fft(K.first_row)))) / (K.n * K.n)
+    return float(np.max(np.abs(K.conj_spectrum))) / (K.n * K.n)
 
 
 def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResult:

@@ -36,8 +36,13 @@ from .cell import (
 )
 from .energy import evaluate, evaluate_quadrature
 from .gammalab import (
+    DEFAULT_DIFFERENCE_TOL,
     DEFAULT_EPS_GRID,
+    DEFAULT_FM_EPS,
     DEFAULT_M_GRID,
+    DEFAULT_S1,
+    DEFAULT_S2,
+    DEFAULT_STUDY_TOL,
     fM_threshold_experiment,
     non_representability_certificate,
     run_flat_study,
@@ -93,9 +98,9 @@ FIELDS = {
     "c": ("--c", 0.0, {"type": float}),
     "t": ("--t", 0.5, {"type": float}),
     "t_steps": ("--t-steps", 101, {"type": int}),
-    "s1": ("--s1", 0.5, {"type": float}),
-    "s2": ("--s2", 0.25, {"type": float}),
-    "eps": ("--eps", 0.03125, {"type": float}),
+    "s1": ("--s1", DEFAULT_S1, {"type": float}),
+    "s2": ("--s2", DEFAULT_S2, {"type": float}),
+    "eps": ("--eps", DEFAULT_FM_EPS, {"type": float}),  # energy shares it
     "eps_grid": ("--eps-grid", list(DEFAULT_EPS_GRID), {}),
     "M_grid": ("--M-grid", list(DEFAULT_M_GRID), {}),
     "n": ("--n", None, {"type": int}),  # cell grid: 16 on the exhaustive paths, else 256
@@ -103,8 +108,8 @@ FIELDS = {
     "method": ("--method", "closed_form", {}),
     "mode": ("--mode", "all_subsets", {}),
     "quad_n": ("--quad-n", 0, {"type": int}),
-    "difference_tol": ("--tol", 1e-3, {"type": float}),
-    "study_tol": ("--study-tol", 1e-2, {"type": float}),
+    "difference_tol": ("--tol", DEFAULT_DIFFERENCE_TOL, {"type": float}),
+    "study_tol": ("--study-tol", DEFAULT_STUDY_TOL, {"type": float}),
     "value_tol": ("--value-tol", DEFAULT_VALUE_TOL, {"type": float}),
     "output_dir": ("--output-dir", ".", {}),
     "threads": ("--threads", 1, {"type": int}),

@@ -72,10 +72,12 @@ def rect_integral(
         raise ValueError("degenerate rectangle")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    corners = np.array((x1 - y0, x1 - y1, x0 - y0, x0 - y1)) / eps
-    if np.max(np.abs(corners)) > PERIODIC_REDUCTION_RANGE:
+    # the corners as Python floats: the same roundings as an array divided by
+    # eps, checked before any array is built
+    corners = ((x1 - y0) / eps, (x1 - y1) / eps, (x0 - y0) / eps, (x0 - y1) / eps)
+    if max(map(abs, corners)) > PERIODIC_REDUCTION_RANGE:
         raise ArgumentRangeError("corner argument exceeds the periodic reduction range")
-    p = k.periodic_part(corners)
+    p = k.periodic_part(np.array(corners))
     per = p[0] - p[1] - p[2] + p[3]
     return float(k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per)
 

@@ -22,11 +22,24 @@ import numpy as np
 from .cell import gamma_closed_form, optimal_profile
 from .energy import evaluate
 from .kernel import PeriodicStepFunction, lambda_weight_mean, make_lambda_kernel
-from .states import StepFunction, TripleWellPotential, oscillating_profile, periodic_cuts
+from .states import (
+    StepFunction,
+    TripleWellPotential,
+    check_profile_size,
+    oscillating_profile,
+    periodic_cuts,
+)
 from .util import serial_map
 
 DEFAULT_EPS_GRID = tuple(1.0 / m for m in (8, 16, 32, 64, 128, 256))
 DEFAULT_M_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+DEFAULT_FM_EPS = 1.0 / 32.0  # fM_threshold_experiment's eps
+
+# non_representability_certificate: the two jump locations, the difference
+# of implied costs that confirms, and the tolerance the studies must meet
+DEFAULT_S1, DEFAULT_S2 = 0.5, 0.25
+DEFAULT_DIFFERENCE_TOL = 1e-3
+DEFAULT_STUDY_TOL = 1e-2
 
 # below this absolute error a study point counts as converged to roundoff and
 # is excluded from rate fitting (whole-period grids hit the limit exactly)
@@ -190,10 +203,13 @@ def two_scale_pairing(
 
     All three factors are step functions, so splitting at every breakpoint
     (including the eps-periodized ones of psi2 and the period ends) makes the
-    integrand constant on each piece.
+    integrand constant on each piece. Every eps at which
+    ``oscillating_profile`` refuses a one-run profile is refused first, under
+    the same cap, before any cut is built.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
+    check_profile_size("two_scale_pairing", 1, eps)
     per = periodic_cuts(np.append(psi2.breakpoints, 1.0), eps).reshape(-1)
     edges = np.unique(np.concatenate([chi_eps.endpoints, psi1.endpoints, per]))
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -229,11 +245,11 @@ def non_representability_certificate(
     alpha: float,
     beta: float,
     lam: float,
-    s1: float = 0.5,
-    s2: float = 0.25,
-    tol: float = 1e-3,
+    s1: float = DEFAULT_S1,
+    s2: float = DEFAULT_S2,
+    tol: float = DEFAULT_DIFFERENCE_TOL,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    study_tol: float = 1e-2,
+    study_tol: float = DEFAULT_STUDY_TOL,
     pmap: Optional[Callable] = None,
 ) -> Certificate:
     """Certify that no pairwise double-integral representation matches both
@@ -294,7 +310,7 @@ def fM_threshold_experiment(
     alpha: float,
     beta: float,
     lam: float,
-    eps: float,
+    eps: float = DEFAULT_FM_EPS,
     M_grid: Sequence[float] = DEFAULT_M_GRID,
     pmap: Optional[Callable] = None,
 ) -> Certificate:

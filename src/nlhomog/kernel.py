@@ -90,7 +90,9 @@ class PeriodicStepKernel(PeriodicStepFunction):
         """B_per(t mod 1), the bounded 1-periodic remainder of B; vectorized."""
         t = np.asarray(t, dtype=float)
         u = t - np.floor(t)
-        idx = np.searchsorted(self.breakpoints, u, side="right") - 1
+        # breakpoints[0] == 0 <= u, so counting the later breakpoints <= u
+        # gives the index of u's segment, searchsorted(breakpoints, u) - 1
+        idx = self.breakpoints[1:].searchsorted(u, "right")
         du = u - self.breakpoints[idx]
         out = self.table.q0[idx] + du * (self.table.q1[idx] + du * self.table.q2[idx])
         return float(out) if out.ndim == 0 else out

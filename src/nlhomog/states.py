@@ -213,6 +213,18 @@ def period_count(eps: float) -> int:
     return math.ceil(1.0 / eps - 1e-12)
 
 
+def check_profile_size(stage: str, runs: int, eps: float) -> None:
+    """Refuse, before any work, a stage whose eps-periodic profile with
+    ``runs`` cyclic runs per period (at least 1) has more than
+    ``util.MAX_INTERVALS`` breakpoints by the estimate 2*runs/eps + 2."""
+    est = 2 * max(runs, 1) * period_count(eps) + 2
+    if est > util.MAX_INTERVALS:
+        raise ResourceLimitError(
+            f"{stage}: ~{est} breakpoints at 1/eps = {1.0 / eps:.6g} "
+            f"exceed the cap {util.MAX_INTERVALS}"
+        )
+
+
 def periodic_cuts(offsets, eps: float) -> np.ndarray:
     """The eps-periodized points (j + o) * eps, capped at 1, of the cell
     points o in offsets, one row per period j < period_count(eps). One
@@ -227,28 +239,21 @@ def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFuncti
     The indicator's support within the unit cell is a sorted list of disjoint
     arcs. Intervals of equal value arising across period boundaries are
     merged, so the breakpoint count is at most 2*runs/eps + 2, where runs is
-    the number of cyclic runs of the indicator. That estimate is checked
-    against ``util.MAX_INTERVALS`` before anything is built.
+    the number of cyclic runs of the indicator. ``check_profile_size`` checks
+    that estimate against ``util.MAX_INTERVALS`` before anything is built.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     arcs = _merge_touching(_validate_arcs(arcs))
-    n_periods = period_count(eps)
     # cyclic runs of the indicator; an arc ending at 1 continues one at 0
     runs = len(arcs) - int(bool(arcs) and arcs[0][0] == 0.0 and arcs[-1][1] == 1.0)
-    est = 2 * max(runs, 1) * n_periods + 2
-    cap = util.MAX_INTERVALS
-    if est > cap:
-        raise ResourceLimitError(
-            f"oscillating_profile: ~{est} breakpoints at 1/eps = {1.0 / eps:.6g} "
-            f"exceed the cap {cap}"
-        )
+    check_profile_size("oscillating_profile", runs, eps)
     # Period j is cut at (j+a)*eps and (j+b)*eps for each arc, then at
     # (j+1)*eps; each cut ends a piece of value 0 (gap), 1 (arc), ..., 0.
     offsets = np.append(np.asarray(arcs, dtype=float).reshape(-1), 1.0)
     flags = np.append(np.tile([0.0, 1.0], len(arcs)), 0.0)
     cuts = np.concatenate([[0.0], periodic_cuts(offsets, eps).reshape(-1)])
-    flags = np.tile(flags, n_periods)
+    flags = np.tile(flags, period_count(eps))
     # drop zero-length pieces, merge equal neighbours
     keep = cuts[1:] > cuts[:-1]
     starts, flags = cuts[:-1][keep], flags[keep]

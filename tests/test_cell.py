@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nlhomog import (
     CellProfile,
@@ -172,6 +173,42 @@ class TestCellMatrix:
             K = CellKernelMatrix(n=n, first_row=rng.uniform(0.5, 3.0, n), abar=1.0)
             x = rng.standard_normal(n)
             assert np.array_equal(K.matvec(x), _dense(K) @ x), n
+
+    def test_cached_operators_match_uncached_formulas_bit_for_bit(self, monkeypatch):
+        # the formulas matvec and _spectral_norm evaluated per call before
+        # their operators were cached on the matrix
+        def direct(K, x):
+            r2 = np.concatenate([K.first_row, K.first_row])
+            return np.ascontiguousarray(sliding_window_view(r2, K.n)[K.n:0:-1]) @ x
+
+        def fft(K, x):
+            return np.fft.ifft(np.conj(np.fft.fft(K.first_row)) * np.fft.fft(x)).real
+
+        def norm(K):
+            return float(np.max(np.abs(np.fft.fft(K.first_row)))) / (K.n * K.n)
+
+        rng = np.random.default_rng(5)
+        k = PeriodicStepKernel([0.0, 0.2, 0.5], [1.0, 3.0, 2.0])
+        matrices = [build_cell_matrix(k, n) for n in (2, 3, 17, 256, 1023, 1024, 1025)]
+        matrices += [CellKernelMatrix(n=n, first_row=rng.standard_normal(n), abar=0.0)
+                     for n in (2, 64, 1023, 1024, 2048)]
+        for K in matrices:
+            n = K.n
+            assert _spectral_norm(K) == norm(K), n
+            # repeated calls, the path switched between calls on one matrix
+            for threshold in (cell.FFT_MATVEC_THRESHOLD, n + 1, n, n + 1, 2, n, n):
+                monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", threshold)
+                x = rng.standard_normal(n)
+                want = fft(K, x) if n >= threshold else direct(K, x)
+                assert np.array_equal(K.matvec(x), want), (n, threshold)
+            assert _spectral_norm(K) == norm(K), n
+
+    def test_fft_path_builds_no_dense_matrix(self):
+        K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), cell.FFT_MATVEC_THRESHOLD)
+        K.matvec(np.ones(K.n))
+        _spectral_norm(K)
+        assert "dense" not in vars(K)
+        assert K.conj_spectrum is K.conj_spectrum
 
     def test_spectral_norm_equals_largest_eigenvalue(self):
         kernels = [

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nlhomog import StepFunction, TripleWellPotential, evaluate, make_lambda_kernel
-from nlhomog import cli
+from nlhomog import cli, gammalab
 from nlhomog.cli import dispatch
 
 
@@ -243,6 +244,14 @@ class TestPerCommandFields:
         defaults = {field: spec[1] for field, spec in cli.FIELDS.items()}
         declared = set(cli.command_fields(command, defaults))
         assert set(read_json(REPORTS[command])["config"]) == declared | {"seed"}
+
+    def test_non_rep_and_fm_threshold_defaults_are_the_librarys(self):
+        cert = inspect.signature(gammalab.non_representability_certificate).parameters
+        for field, param in (("s1", "s1"), ("s2", "s2"), ("difference_tol", "tol"),
+                             ("study_tol", "study_tol")):
+            assert cli.FIELDS[field][1] == cert[param].default, field
+        fm = inspect.signature(gammalab.fM_threshold_experiment).parameters
+        assert cli.FIELDS["eps"][1] == fm["eps"].default == 1.0 / 32.0
 
     @pytest.mark.parametrize("command", REPORTS)
     def test_parser_registers_declared_fields_and_run_flags(self, command):

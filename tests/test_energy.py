@@ -19,6 +19,7 @@ from nlhomog import (
 )
 from nlhomog import energy, util
 from nlhomog.gammalab import gamma_limit_constant_value
+from nlhomog.kernel import PERIODIC_REDUCTION_RANGE
 
 INF_POT = TripleWellPotential()
 
@@ -103,6 +104,98 @@ class TestRectIntegral:
             rect_integral(k, 0.0, 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ArgumentRangeError):
             rect_integral(k, 1e-13, 0.0, 1.0, 0.0, 1.0)
+
+
+def _periodic_part_oracle(k, t):
+    """B_per as first written: the segment index by searchsorted over all
+    breakpoints, less one."""
+    t = np.asarray(t, dtype=float)
+    u = t - np.floor(t)
+    idx = np.searchsorted(k.breakpoints, u, side="right") - 1
+    du = u - k.breakpoints[idx]
+    out = k.table.q0[idx] + du * (k.table.q1[idx] + du * k.table.q2[idx])
+    return float(out) if out.ndim == 0 else out
+
+
+def _rect_integral_oracle(k, eps, x0, x1, y0, y1):
+    """rect_integral as first written: the corners divided by eps as one
+    array, whose largest modulus numpy checks against the range."""
+    corners = np.array((x1 - y0, x1 - y1, x0 - y0, x0 - y1)) / eps
+    if np.max(np.abs(corners)) > PERIODIC_REDUCTION_RANGE:
+        raise ArgumentRangeError("corner argument exceeds the periodic reduction range")
+    p = _periodic_part_oracle(k, corners)
+    per = p[0] - p[1] - p[2] + p[3]
+    return float(k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per)
+
+
+def _random_kernel(rng):
+    nseg = int(rng.integers(1, 6))
+    bp = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, nseg - 1))])
+    return PeriodicStepKernel(bp, rng.uniform(0.2, 3.0, bp.size))
+
+
+def _same_outcome(fn, oracle, *args):
+    """fn and oracle return equal bits, or both raise ArgumentRangeError;
+    returns whether they raised."""
+    try:
+        want = oracle(*args)
+    except ArgumentRangeError:
+        with pytest.raises(ArgumentRangeError):
+            fn(*args)
+        return True
+    got = fn(*args)
+    assert type(got) is type(want) and np.array_equal(got, want), args
+    return False
+
+
+class TestExactEntryOracle:
+    def test_periodic_part_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            k = _random_kernel(rng)
+            ends = np.append(k.breakpoints, 1.0)
+            shifts = rng.integers(-5, 6, ends.size).astype(float)
+            on_jumps = ends + shifts  # u lands exactly on a breakpoint or at 1
+            t = np.concatenate([
+                on_jumps,
+                np.nextafter(on_jumps, np.inf),
+                np.nextafter(on_jumps, -np.inf),
+                rng.uniform(-3.0, 3.0, 20),
+                rng.uniform(-1e12, 1e12, 5),
+                [0.0, -0.0, -1e-20, 1.0 - 2.0**-53, -1.0],  # -1e-20 reduces to u = 1.0
+            ])
+            assert np.array_equal(k.periodic_part(t), _periodic_part_oracle(k, t))
+            for v in t[::7]:
+                got, want = k.periodic_part(float(v)), _periodic_part_oracle(k, float(v))
+                assert type(got) is float and got == want, v
+
+    def test_rect_integral_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        raised = 0
+        for _ in range(3000):
+            k = _random_kernel(rng)
+            eps = float(10.0 ** rng.uniform(-12.0, 0.0))
+            scale = float(10.0 ** rng.uniform(-12.0, 0.5))
+            x0, y0 = (float(v) * scale for v in rng.uniform(-3.0, 3.0, 2))
+            x1 = x0 + float(rng.uniform(1e-6, 2.0)) * scale
+            y1 = y0 + float(rng.uniform(1e-6, 2.0)) * scale
+            raised += _same_outcome(rect_integral, _rect_integral_oracle, k, eps, x0, x1, y0, y1)
+        assert 0 < raised < 3000  # both outcomes are exercised
+
+    def test_range_check_just_inside_and_outside(self):
+        # the largest corner steps across PERIODIC_REDUCTION_RANGE ulp by ulp,
+        # from either sign and at scales where dividing by eps rounds
+        k = make_lambda_kernel(2.5, 0.7, 0.3)
+        outcomes = set()
+        for eps in (1.0, 1e-3, 2.0**-10, 1e-12, 0.37):
+            edge = PERIODIC_REDUCTION_RANGE * eps
+            for j in range(-4, 5):
+                c = edge * (1.0 + j * 2.0**-52)
+                h = 0.25 * eps
+                for rect in ((c - h, c, 0.0, h), (0.0, h, c - h, c),
+                             (-c, -c + h, 0.0, h), (0.0, h, -c, -c + h)):
+                    outcomes.add(_same_outcome(rect_integral, _rect_integral_oracle, k, eps, *rect))
+        assert outcomes == {True, False}
 
 
 class TestEvaluate:

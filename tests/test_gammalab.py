@@ -20,7 +20,7 @@ from nlhomog import (
     step_limit_value,
     two_scale_pairing,
 )
-from nlhomog import gammalab
+from nlhomog import ResourceLimitError, gammalab, util
 from nlhomog.kernel import PeriodicStepFunction
 
 EPS_GRID = [1.0 / m for m in (8, 16, 32, 64)]
@@ -137,6 +137,44 @@ class TestTwoScalePairing:
         psi1 = StepFunction([0.0, 0.5], [1.0, 0.0])
         flat = PeriodicStepFunction([0.0], [1.0])
         assert two_scale_pairing(chi, psi1, flat, 0.125) == pytest.approx(0.25, abs=1e-14)
+
+
+class TestTwoScaleSizeCap:
+    """two_scale_pairing refuses, before building a cut, every eps at which
+    oscillating_profile refuses a one-run profile."""
+
+    def test_refuses_where_a_one_run_profile_is_refused(self, monkeypatch):
+        # a one-run profile has 2m + 2 breakpoints at 1/eps = m
+        monkeypatch.setattr(util, "MAX_INTERVALS", 2 * 40 + 2)
+        one = StepFunction.constant(1.0)
+        psi2 = PeriodicStepFunction([0.0, 0.3], [1.0, 2.0])
+        refused = []
+        for m in (39, 40, 41):
+            for inv_eps in (m, m - 0.5, m + 5e-13, m + 1e-9):
+                eps = 1.0 / inv_eps
+                try:
+                    oscillating_profile(0.0, optimal_profile(0.5), eps)
+                except ResourceLimitError:
+                    with pytest.raises(ResourceLimitError, match=r"^two_scale_pairing: ~\d+ "):
+                        two_scale_pairing(one, one, psi2, eps)
+                    refused.append(inv_eps)
+                else:
+                    two_scale_pairing(one, one, psi2, eps)
+        # 40 + 5e-13 keeps 40 periods: the period count's slack absorbs it
+        assert refused == [40 + 1e-9, 41, 41 - 0.5, 41 + 5e-13, 41 + 1e-9]
+
+    def test_default_cap_refuses_before_any_cut(self, monkeypatch):
+        def no_cuts(*_):
+            raise AssertionError("cuts built before the size check")
+
+        monkeypatch.setattr(gammalab, "periodic_cuts", no_cuts)
+        one = StepFunction.constant(1.0)
+        psi2 = PeriodicStepFunction([0.0, 0.3], [1.0, 2.0])
+        with pytest.raises(ResourceLimitError, match="two_scale_pairing: ~3000002 breakpoints"):
+            two_scale_pairing(one, one, psi2, 1.0 / 1.5e6)
+        # the README's timing point stays admitted
+        with pytest.raises(AssertionError, match="cuts built"):
+            two_scale_pairing(one, one, psi2, 1e-6)
 
 
 def _two_scale_pairing_per_period(chi_eps, psi1, psi2, eps):

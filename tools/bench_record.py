@@ -12,9 +12,16 @@ The record holds, per side: the commit (null for an uncommitted tree), the
 sha256 of its sources, nproc and the Python and numpy versions; per workload,
 every untraced run's seed, passes, ``wall_s``, ``setup_s``, ``peak_rss_mb``
 and ``failed_frac`` with their medians and quartiles; and the per-layer
-metrics of every traced run. With two sides, ``wins`` counts, per workload
-and metric, the seeds at which the second side's value is lower than the
-first's.
+metrics of every traced run. With two sides, ``verdict`` holds, per workload
+and end-to-end metric of BENCHMARK.json (which is only read), over the seeds
+run on both sides:
+
+- ``wins``: the pairs in which the second side is better than the first;
+- ``wins_9_of_10``: whether that is at least 9/10 of the pairs;
+- ``gain_exceeds_iqr``: whether the second side's median is better than the
+  first's by more than the first side's interquartile range;
+- ``worse_than_bound``: whether the second side's median is worse than the
+  first's by more than the metric's relative bound.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import statistics
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "failed_frac")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def summary(values):
@@ -59,15 +67,35 @@ def read_side(root: Path) -> dict:
     return side
 
 
-def wins(base: dict, other: dict) -> dict:
+def metric_verdict(base_runs, other_runs, better: str, bound: float) -> dict:
+    """The claim verdict of one metric over runs paired by position."""
+    sign = 1.0 if better == "lower" else -1.0
+    base, other = summary(base_runs), summary(other_runs)
+    wins = sum(sign * (b - a) < 0 for a, b in zip(base_runs, other_runs))
+    gain = sign * (base["median"] - other["median"])
+    return {
+        "median": other["median"],
+        "parent_median": base["median"],
+        "parent_iqr": base["q3"] - base["q1"],
+        "wins": wins,
+        "wins_9_of_10": 10 * wins >= 9 * len(base_runs),
+        "gain_exceeds_iqr": gain > base["q3"] - base["q1"],
+        "worse_than_bound": -gain > bound * abs(base["median"]),
+    }
+
+
+def verdict(base: dict, other: dict, end_to_end: list) -> dict:
     out = {}
     for name, wl in other["workloads"].items():
         ref = {r["seed"]: r for r in base["workloads"].get(name, {}).get("runs", [])}
         pairs = [(ref[r["seed"]], r) for r in wl["runs"] if r["seed"] in ref]
         if pairs:
-            out[name] = {"pairs": len(pairs),
-                         **{m: sum(b[m] < a[m] for a, b in pairs)
-                            for m in ("wall_s", "setup_s", "peak_rss_mb")}}
+            out[name] = {"pairs": len(pairs)}
+            for m in end_to_end:
+                out[name][m["name"]] = metric_verdict(
+                    [a[m["name"]] for a, _ in pairs], [b[m["name"]] for _, b in pairs],
+                    m["better"], m["bound"],
+                )
     return out
 
 
@@ -83,7 +111,9 @@ def main(argv=None) -> int:
     record = {"sides": sides}
     if len(sides) == 2:
         (first, base), (second, other) = sides.items()
-        record["wins"] = {"side": second, "over": first, "workloads": wins(base, other)}
+        end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+        record["verdict"] = {"side": second, "over": first,
+                             "workloads": verdict(base, other, end_to_end)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
