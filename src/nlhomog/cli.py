@@ -79,11 +79,23 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config {path} line {e.lineno}: {e.msg}") from e
 
 
-def _parse_grid(text):
+def _parse_grid(key: str, text: str) -> list:
     try:
-        return [float(x) for x in str(text).split(",") if x.strip()]
+        return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as e:
-        raise ConfigError(f"bad grid value: {text!r}") from e
+        raise ConfigError(f"field {key}: bad grid value {text!r}") from e
+
+
+def _read_value(key: str, val, conv):
+    """A config-file value through conv, as a flag's text goes through its
+    type: a string is parsed, any other value must come through unchanged."""
+    try:
+        out = conv(val)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(val, bool) or not (isinstance(val, str) or out == val):
+        raise ConfigError(f"field {key}: cannot read {val!r} as {conv.__name__}")
+    return out
 
 
 # field -> (flag, default, argparse keywords); the flag's dest is the field
@@ -141,6 +153,17 @@ def _resolve_config(args) -> dict:
     """The fields the command reads and the run fields: defaults, then the
     config file, then flags."""
     given = _load_config_file(args.config) if args.config else {}
+    if not isinstance(given, dict):
+        raise ConfigError(f"config {args.config}: expected a table of fields")
+    for key, val in given.items():
+        if key not in FIELDS or (val is None and FIELDS[key][1] is None):
+            continue  # an unknown field is refused below
+        if not isinstance(FIELDS[key][1], list):
+            given[key] = _read_value(key, val, FIELDS[key][2].get("type", str))
+        elif isinstance(val, list):
+            given[key] = [_read_value(key, x, float) for x in val]
+        elif not isinstance(val, str):  # a grid string is parsed below, as a flag's is
+            raise ConfigError(f"field {key}: expected a list or a comma-separated string")
     for key in command_fields(args.command) + RUN_FIELDS:
         if getattr(args, key) is not None:
             given[key] = getattr(args, key)
@@ -153,7 +176,7 @@ def _resolve_config(args) -> dict:
         cfg[key] = val
     for key in ("eps_grid", "M_grid"):
         if isinstance(cfg.get(key), str):
-            cfg[key] = _parse_grid(cfg[key])
+            cfg[key] = _parse_grid(key, cfg[key])
         if key in cfg and not cfg[key]:
             raise ConfigError(f"{key} must be non-empty")
     if "n" in cfg and cfg["n"] is None:
@@ -164,15 +187,27 @@ def _resolve_config(args) -> dict:
     for key in ("difference_tol", "study_tol", "value_tol"):
         if key in cfg and cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    if "quad_n" in cfg and cfg["quad_n"] != 0 and cfg["quad_n"] < 2:
+        raise ConfigError("quad_n must be 0 (no quadrature) or >= 2")
+    if cfg.get("t_steps", 1) < 1:
+        raise ConfigError("t_steps must be >= 1")
     return cfg
+
+
+def _read_step_json(cfg, key: str, cls):
+    """cls from the step-function JSON file that field key names."""
+    path = Path(cfg[key])
+    if not path.exists():
+        raise ConfigError(f"field {key}: file not found: {path}")
+    try:
+        return cls.from_json(json.loads(path.read_text()))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"field {key}: {path} is not a step-function JSON object: {e!r}") from e
 
 
 def _kernel_from_config(cfg) -> PeriodicStepKernel:
     if cfg.get("kernel"):
-        path = Path(cfg["kernel"])
-        if not path.exists():
-            raise ConfigError(f"kernel file not found: {path}")
-        return PeriodicStepKernel.from_json(json.loads(path.read_text()))
+        return _read_step_json(cfg, "kernel", PeriodicStepKernel)
     try:
         return make_lambda_kernel(cfg["alpha"], cfg["beta"], cfg["lambda"])
     except ValueError as e:
@@ -182,10 +217,7 @@ def _kernel_from_config(cfg) -> PeriodicStepKernel:
 def _step_function_from_config(cfg) -> StepFunction:
     if not cfg["u"]:
         raise ConfigError("field u: a step-function JSON path is required")
-    path = Path(cfg["u"])
-    if not path.exists():
-        raise ConfigError(f"field u: file not found: {path}")
-    return StepFunction.from_json(json.loads(path.read_text()))
+    return _read_step_json(cfg, "u", StepFunction)
 
 
 def _emit(cfg, command: str, result: dict, out_json: str, csv=None) -> Path:
@@ -212,13 +244,13 @@ def _emit(cfg, command: str, result: dict, out_json: str, csv=None) -> Path:
 
 def _cmd_energy(cfg, pmap) -> int:
     kern = _kernel_from_config(cfg)
-    pot = TripleWellPotential(cap=float(cfg["cap"]) if cfg["potential"] == "capped" else None)
+    pot = TripleWellPotential(cap=cfg["cap"] if cfg["potential"] == "capped" else None)
     u = _step_function_from_config(cfg)
     rep = evaluate(u, pot, kern, cfg["eps"], value_tol=cfg["value_tol"])
     result = {"exact": rep.to_json()}
-    if cfg["quad_n"] >= 2:
+    if cfg["quad_n"]:
         quad = evaluate_quadrature(
-            u, pot, kern, cfg["eps"], n=int(cfg["quad_n"]), value_tol=cfg["value_tol"]
+            u, pot, kern, cfg["eps"], n=cfg["quad_n"], value_tol=cfg["value_tol"]
         )
         result["quadrature"] = quad.to_json()
         result["abs_diff"] = abs(rep.value - quad.value)
@@ -232,7 +264,7 @@ def _cmd_energy(cfg, pmap) -> int:
 
 
 def _cmd_gamma_table(cfg, pmap) -> int:
-    ts = np.linspace(0.0, 1.0, int(cfg["t_steps"]))
+    ts = np.linspace(0.0, 1.0, cfg["t_steps"])
     gammas = [gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], t) for t in ts]
     result = {"t": list(map(float, ts)), "gamma": gammas, "argmin_t": float(ts[int(np.argmin(gammas))])}
     path = _emit(
@@ -253,8 +285,8 @@ def _cmd_cell_solve(cfg, pmap) -> int:
         val = gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["t"])
         result = {"method": "closed_form", "t": cfg["t"], "energy": val}
     elif method == "projected_gradient":
-        K = build_cell_matrix(_kernel_from_config(cfg), int(cfg["n"]))
-        res = solve_relaxed(K, cfg["t"], seed=int(cfg["seed"]))
+        K = build_cell_matrix(_kernel_from_config(cfg), cfg["n"])
+        res = solve_relaxed(K, cfg["t"], seed=cfg["seed"])
         result = {
             "method": res.method,
             "t": cfg["t"],
@@ -266,13 +298,13 @@ def _cmd_cell_solve(cfg, pmap) -> int:
         }
     else:
         if cfg["mode"] == "all_subsets":
-            enumeration_size(int(cfg["n"]), int(cfg["k_ones"]))
-        K = build_cell_matrix(_kernel_from_config(cfg), int(cfg["n"]))
-        res = solve_brute_force(K, int(cfg["k_ones"]), mode=cfg["mode"])
+            enumeration_size(cfg["n"], cfg["k_ones"])
+        K = build_cell_matrix(_kernel_from_config(cfg), cfg["n"])
+        res = solve_brute_force(K, cfg["k_ones"], mode=cfg["mode"])
         result = {
             "method": res.method,
             "mode": res.extras["mode"],
-            "k_ones": int(cfg["k_ones"]),
+            "k_ones": cfg["k_ones"],
             "energy": res.energy,
             "subsets_examined": res.iterations,
             "minimizer_cells": res.extras["indices"],
@@ -287,7 +319,7 @@ def _cmd_cell_solve(cfg, pmap) -> int:
 
 def _cmd_cell_verify(cfg, pmap) -> int:
     kern = _kernel_from_config(cfg)
-    n = int(cfg["n"])
+    n = cfg["n"]
     ks = range(0, n + 1, max(1, n // 8))
     for k in ks:
         enumeration_size(n, k)
@@ -418,7 +450,7 @@ def _cmd_fm_threshold(cfg, pmap) -> int:
 
 
 def _cmd_reproduce_all(cfg, pmap) -> int:
-    results = acceptance.run_all(seed=int(cfg["seed"]), pmap=pmap)
+    results = acceptance.run_all(seed=cfg["seed"], pmap=pmap)
     result = {
         "criteria": [r.to_json() for r in results],
         "all_passed": all(r.passed for r in results),

@@ -22,13 +22,7 @@ import numpy as np
 from .cell import gamma_closed_form, optimal_profile
 from .energy import evaluate
 from .kernel import PeriodicStepFunction, lambda_weight_mean, make_lambda_kernel
-from .states import (
-    StepFunction,
-    TripleWellPotential,
-    check_profile_size,
-    oscillating_profile,
-    periodic_cuts,
-)
+from .states import StepFunction, TripleWellPotential, oscillating_profile
 from .util import serial_map
 
 DEFAULT_EPS_GRID = tuple(1.0 / m for m in (8, 16, 32, 64, 128, 256))
@@ -201,21 +195,17 @@ def two_scale_pairing(
 ) -> float:
     """Exact integral of chi_eps(x) * psi1(x) * psi2(x/eps) over (0,1).
 
-    All three factors are step functions, so splitting at every breakpoint
-    (including the eps-periodized ones of psi2 and the period ends) makes the
-    integrand constant on each piece. Every eps at which
-    ``oscillating_profile`` refuses a one-run profile is refused first, under
-    the same cap, before any cut is built.
+    Between consecutive breakpoints of chi_eps and psi1 the product
+    chi_eps * psi1 is constant, and psi2(x/eps) integrates over each such
+    piece in closed form (``PeriodicStepFunction.integral``), so the cost
+    depends neither on eps nor on the number of segments of psi2.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    check_profile_size("two_scale_pairing", 1, eps)
-    per = periodic_cuts(np.append(psi2.breakpoints, 1.0), eps).reshape(-1)
-    edges = np.unique(np.concatenate([chi_eps.endpoints, psi1.endpoints, per]))
+    edges = np.unique(np.concatenate([chi_eps.endpoints, psi1.endpoints]))
     mids = 0.5 * (edges[:-1] + edges[1:])
-    lens = np.diff(edges)
-    vals = chi_eps.eval(mids) * psi1.eval(mids) * psi2.eval(mids / eps)
-    return float(np.dot(vals, lens))
+    weights = psi2.integral(edges[:-1], edges[1:], eps)
+    return float(np.dot(chi_eps.eval(mids) * psi1.eval(mids), weights))
 
 
 def step_limit_value(s: float, alpha: float, beta: float, lam: float) -> float:

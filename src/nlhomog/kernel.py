@@ -12,7 +12,9 @@ corner terms of a rectangle telescopes to ``mean * area`` and the linear part
 to zero, so only ``B_per`` is ever evaluated numerically. That keeps the
 computation exact (up to roundoff) even when corner arguments grow like
 ``1/eps``; subtracting raw ``B`` values would lose one digit per decade of
-``1/eps``.
+``1/eps``. Single integrals of ``f(x/eps)`` use the same trick one order
+down: the slope of ``B_per`` carries all of the antiderivative but its
+linear part, so no period is ever enumerated.
 """
 
 from __future__ import annotations
@@ -36,12 +38,54 @@ class PeriodicStepFunction(StepFunction):
     extended 1-periodically: ``eval`` reduces its argument mod 1 first.
     Segments are left-closed/right-open; the value at a breakpoint comes from
     the segment starting there, which makes evaluation deterministic.
+    ``table`` holds its exact antiderivative data.
     """
+
+    def __init__(self, breakpoints, values):
+        super().__init__(breakpoints, values)
+        self.table = _build_antiderivative_table(self.breakpoints, self.values)
+
+    def _locate(self, t):
+        """Segment index of t mod 1 and the offset from that segment's start."""
+        t = np.asarray(t, dtype=float)
+        u = t - np.floor(t)
+        # breakpoints[0] == 0 <= u, so counting the later breakpoints <= u
+        # gives the index of u's segment, searchsorted(breakpoints, u) - 1
+        idx = self.breakpoints[1:].searchsorted(u, "right")
+        return idx, u - self.breakpoints[idx]
 
     def eval(self, t):
         """a(t mod 1); accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
-        return super().eval(t - np.floor(t))
+        idx, _ = self._locate(t)
+        out = self.values[idx]
+        return float(out) if out.ndim == 0 else out
+
+    def periodic_part(self, t):
+        """B_per(t mod 1), the bounded 1-periodic remainder of B; vectorized."""
+        idx, du = self._locate(t)
+        out = self.table.q0[idx] + du * (self.table.q1[idx] + du * self.table.q2[idx])
+        return float(out) if out.ndim == 0 else out
+
+    def integral(self, x0, x1, eps: float):
+        """Exact integrals of f(x/eps) over [x0, x1], elementwise over arrays.
+
+        The antiderivative of f is mean*t + b1 + S(t) with S = B_per' bounded
+        and 1-periodic, so each integral is mean*(x1 - x0) plus eps times a
+        difference of S values: nothing grows with 1/eps and nothing cancels.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        x1 = np.asarray(x1, dtype=float)
+        reach = max(np.abs(x0).max(initial=0.0), np.abs(x1).max(initial=0.0))
+        if reach / eps > PERIODIC_REDUCTION_RANGE:
+            raise ArgumentRangeError(
+                f"|x|/eps exceeds the periodic reduction range {PERIODIC_REDUCTION_RANGE:g}"
+            )
+
+        def slope(t):
+            idx, du = self._locate(t)
+            return self.table.q1[idx] + 2.0 * du * self.table.q2[idx]
+
+        return self.table.mean * (x1 - x0) + eps * (slope(x1 / eps) - slope(x0 / eps))
 
 
 @dataclass(frozen=True)
@@ -49,7 +93,8 @@ class AntiderivativeTable:
     """Precomputed data for B(t) = mean*t^2/2 + b1*t + B_per(t).
 
     ``q0, q1, q2`` are per-segment coefficients of the periodic remainder in
-    the local variable u = t - b_i:  B_per(t) = q0_i + q1_i*u + q2_i*u^2.
+    the local variable u = t - b_i:  B_per(t) = q0_i + q1_i*u + q2_i*u^2, so
+    its slope is q1_i + 2*q2_i*u.
     """
 
     mean: float
@@ -78,24 +123,12 @@ def _build_antiderivative_table(bp: np.ndarray, vals: np.ndarray) -> Antiderivat
 
 
 class PeriodicStepKernel(PeriodicStepFunction):
-    """Strictly positive periodic step weight with exact antiderivative data."""
+    """Strictly positive periodic step weight."""
 
     def __init__(self, breakpoints, values):
         super().__init__(breakpoints, values)
         if np.any(self.values <= 0):
             raise ValueError("kernel values must be strictly positive")
-        self.table = _build_antiderivative_table(self.breakpoints, self.values)
-
-    def periodic_part(self, t):
-        """B_per(t mod 1), the bounded 1-periodic remainder of B; vectorized."""
-        t = np.asarray(t, dtype=float)
-        u = t - np.floor(t)
-        # breakpoints[0] == 0 <= u, so counting the later breakpoints <= u
-        # gives the index of u's segment, searchsorted(breakpoints, u) - 1
-        idx = self.breakpoints[1:].searchsorted(u, "right")
-        du = u - self.breakpoints[idx]
-        out = self.table.q0[idx] + du * (self.table.q1[idx] + du * self.table.q2[idx])
-        return float(out) if out.ndim == 0 else out
 
     def second_antiderivative(self, t):
         """Decomposition of B(t): returns (polynomial part, periodic part).

@@ -206,54 +206,40 @@ def _merge_touching(arcs: list) -> list:
     return out
 
 
-def period_count(eps: float) -> int:
-    """Number of eps-periods that meet (0, 1): ceil(1/eps), less the slack
-    that keeps a whole-period grid with 1/eps rounded up by an ulp from
-    gaining an empty period."""
-    return math.ceil(1.0 / eps - 1e-12)
-
-
-def check_profile_size(stage: str, runs: int, eps: float) -> None:
-    """Refuse, before any work, a stage whose eps-periodic profile with
-    ``runs`` cyclic runs per period (at least 1) has more than
-    ``util.MAX_INTERVALS`` breakpoints by the estimate 2*runs/eps + 2."""
-    est = 2 * max(runs, 1) * period_count(eps) + 2
-    if est > util.MAX_INTERVALS:
-        raise ResourceLimitError(
-            f"{stage}: ~{est} breakpoints at 1/eps = {1.0 / eps:.6g} "
-            f"exceed the cap {util.MAX_INTERVALS}"
-        )
-
-
-def periodic_cuts(offsets, eps: float) -> np.ndarray:
-    """The eps-periodized points (j + o) * eps, capped at 1, of the cell
-    points o in offsets, one row per period j < period_count(eps). One
-    rounding per cut keeps whole-period grids exact."""
-    j = np.arange(period_count(eps), dtype=float)
-    return np.minimum((j[:, None] + np.asarray(offsets, dtype=float)[None, :]) * eps, 1.0)
-
-
 def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFunction:
     """The step function x -> z + chi_arcs(x/eps mod 1) on (0,1).
 
     The indicator's support within the unit cell is a sorted list of disjoint
     arcs. Intervals of equal value arising across period boundaries are
     merged, so the breakpoint count is at most 2*runs/eps + 2, where runs is
-    the number of cyclic runs of the indicator. ``check_profile_size`` checks
-    that estimate against ``util.MAX_INTERVALS`` before anything is built.
+    the number of cyclic runs of the indicator (at least 1 in the estimate).
+    That estimate is checked against ``util.MAX_INTERVALS`` before anything
+    is built.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     arcs = _merge_touching(_validate_arcs(arcs))
     # cyclic runs of the indicator; an arc ending at 1 continues one at 0
     runs = len(arcs) - int(bool(arcs) and arcs[0][0] == 0.0 and arcs[-1][1] == 1.0)
-    check_profile_size("oscillating_profile", runs, eps)
+    # periods that meet (0, 1): ceil(1/eps), less the slack that keeps a
+    # whole-period grid with 1/eps rounded up by an ulp from gaining an
+    # empty period
+    periods = math.ceil(1.0 / eps - 1e-12)
+    est = 2 * max(runs, 1) * periods + 2
+    if est > util.MAX_INTERVALS:
+        raise ResourceLimitError(
+            f"oscillating_profile: ~{est} breakpoints at 1/eps = {1.0 / eps:.6g} "
+            f"exceed the cap {util.MAX_INTERVALS}"
+        )
     # Period j is cut at (j+a)*eps and (j+b)*eps for each arc, then at
-    # (j+1)*eps; each cut ends a piece of value 0 (gap), 1 (arc), ..., 0.
+    # (j+1)*eps, capped at 1; each cut ends a piece of value 0 (gap), 1 (arc),
+    # ..., 0. One rounding per cut keeps whole-period grids exact.
     offsets = np.append(np.asarray(arcs, dtype=float).reshape(-1), 1.0)
     flags = np.append(np.tile([0.0, 1.0], len(arcs)), 0.0)
-    cuts = np.concatenate([[0.0], periodic_cuts(offsets, eps).reshape(-1)])
-    flags = np.tile(flags, period_count(eps))
+    j = np.arange(periods, dtype=float)
+    cuts = np.minimum((j[:, None] + offsets[None, :]) * eps, 1.0)
+    cuts = np.concatenate([[0.0], cuts.reshape(-1)])
+    flags = np.tile(flags, periods)
     # drop zero-length pieces, merge equal neighbours
     keep = cuts[1:] > cuts[:-1]
     starts, flags = cuts[:-1][keep], flags[keep]

@@ -463,6 +463,116 @@ class TestConfigHandling:
         ) == 1
 
 
+class TestConfigFileValues:
+    """A config-file value goes through its flag's conversion."""
+
+    @pytest.mark.parametrize(
+        "command, given, flags",
+        [
+            ("gamma-table", {"alpha": 1, "beta": "3", "t_steps": "11"},
+             ["--alpha", "1", "--beta", "3", "--t-steps", "11"]),
+            ("gamma-limit", {"eps_grid": ["0.125", 0.0625], "c": 0},
+             ["--eps-grid", "0.125,0.0625", "--c", "0"]),
+            ("fm-threshold", {"M_grid": "1,4", "eps": "0.125"},
+             ["--M-grid", "1,4", "--eps", "0.125"]),
+            ("cell-solve", {"method": "brute_force", "n": 12.0, "k_ones": "4", "seed": "3"},
+             ["--method", "brute_force", "--n", "12", "--k-ones", "4", "--seed", "3"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_config_file_and_flags_write_the_same_bytes(self, tmp_path, command, given, flags):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(given))
+        assert dispatch([command, "--config", str(cfg), "--output-dir", str(tmp_path / "file")]) == 0
+        assert dispatch([command, *flags, "--output-dir", str(tmp_path / "flags")]) == 0
+        written = sorted(p.name for p in (tmp_path / "file").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "flags").iterdir())
+        for name in written:
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, given, field",
+        [
+            ("cell-solve", {"method": "brute_force", "n": 16.5}, "n"),
+            ("gamma-table", {"alpha": "one"}, "alpha"),
+            ("gamma-table", {"alpha": None}, "alpha"),
+            ("gamma-table", {"alpha": [1.0]}, "alpha"),
+            ("gamma-table", {"t_steps": True}, "t_steps"),
+            ("gamma-table", {"alpha": 10**400}, "alpha"),
+            ("gamma-limit", {"eps_grid": 0.125}, "eps_grid"),
+            ("gamma-limit", {"eps_grid": ["1/8"]}, "eps_grid"),
+            ("gamma-limit", {"eps_grid": "1/8,1/16"}, "eps_grid"),
+            ("cell-solve", {"method": 5}, "method"),
+            ("two-scale", {"kernel": 5}, "kernel"),
+        ],
+        ids=lambda v: json.dumps(v)[:40] if isinstance(v, dict) else None,
+    )
+    def test_refused_value_is_a_config_error_naming_the_field(
+        self, tmp_path, capsys, command, given, field
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(given))
+        assert dispatch([command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_must_be_a_table(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
+        assert dispatch(["gamma-table", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--quad-n", "1"],
+            ["energy", "--quad-n", "-4"],
+            ["gamma-table", "--t-steps", "0"],
+            ["gamma-table", "--t-steps", "-2"],
+        ],
+        ids=lambda v: "".join(v),
+    )
+    def test_out_of_range_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        extra = ["--u", "u.json"] if argv[0] == "energy" else []
+        assert dispatch(argv + extra + ["--output-dir", "out"]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_single_step_table_and_quadrature_off(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        assert dispatch(["gamma-table", "--t-steps", "1"]) == 0
+        assert read_json("gamma_table.json")["result"]["t"] == [0.0]
+        assert dispatch(["energy", "--u", "u.json", "--quad-n", "0"]) == 0
+        assert "quadrature" not in read_json("energy.json")["result"]
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--u", '{"breakpoints": [0, 0.5]}'),
+            ("--u", "[0, 0.5]"),
+            ("--u", "not json"),
+            ("--kernel", '{"breakpoints": [0, 0.5]}'),
+            ("--kernel", "[0, 0.5]"),
+            ("--kernel", '{"breakpoints": [0], "values": [-1]}'),
+        ],
+    )
+    def test_malformed_step_function_file_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, flag, text
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("u.json").write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        Path("bad.json").write_text(text)
+        argv = ["energy", "--u", "u.json", flag, "bad.json", "--output-dir", "out"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field {flag[2:]}: bad.json ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_thread_count_does_not_change_report_bytes(self, tmp_path):
         outs = {}

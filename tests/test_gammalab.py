@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from nlhomog import (
     step_limit_value,
     two_scale_pairing,
 )
-from nlhomog import ResourceLimitError, gammalab, util
+from nlhomog import ArgumentRangeError, gammalab
 from nlhomog.kernel import PeriodicStepFunction
 
 EPS_GRID = [1.0 / m for m in (8, 16, 32, 64)]
@@ -139,44 +142,6 @@ class TestTwoScalePairing:
         assert two_scale_pairing(chi, psi1, flat, 0.125) == pytest.approx(0.25, abs=1e-14)
 
 
-class TestTwoScaleSizeCap:
-    """two_scale_pairing refuses, before building a cut, every eps at which
-    oscillating_profile refuses a one-run profile."""
-
-    def test_refuses_where_a_one_run_profile_is_refused(self, monkeypatch):
-        # a one-run profile has 2m + 2 breakpoints at 1/eps = m
-        monkeypatch.setattr(util, "MAX_INTERVALS", 2 * 40 + 2)
-        one = StepFunction.constant(1.0)
-        psi2 = PeriodicStepFunction([0.0, 0.3], [1.0, 2.0])
-        refused = []
-        for m in (39, 40, 41):
-            for inv_eps in (m, m - 0.5, m + 5e-13, m + 1e-9):
-                eps = 1.0 / inv_eps
-                try:
-                    oscillating_profile(0.0, optimal_profile(0.5), eps)
-                except ResourceLimitError:
-                    with pytest.raises(ResourceLimitError, match=r"^two_scale_pairing: ~\d+ "):
-                        two_scale_pairing(one, one, psi2, eps)
-                    refused.append(inv_eps)
-                else:
-                    two_scale_pairing(one, one, psi2, eps)
-        # 40 + 5e-13 keeps 40 periods: the period count's slack absorbs it
-        assert refused == [40 + 1e-9, 41, 41 - 0.5, 41 + 5e-13, 41 + 1e-9]
-
-    def test_default_cap_refuses_before_any_cut(self, monkeypatch):
-        def no_cuts(*_):
-            raise AssertionError("cuts built before the size check")
-
-        monkeypatch.setattr(gammalab, "periodic_cuts", no_cuts)
-        one = StepFunction.constant(1.0)
-        psi2 = PeriodicStepFunction([0.0, 0.3], [1.0, 2.0])
-        with pytest.raises(ResourceLimitError, match="two_scale_pairing: ~3000002 breakpoints"):
-            two_scale_pairing(one, one, psi2, 1.0 / 1.5e6)
-        # the README's timing point stays admitted
-        with pytest.raises(AssertionError, match="cuts built"):
-            two_scale_pairing(one, one, psi2, 1e-6)
-
-
 def _two_scale_pairing_per_period(chi_eps, psi1, psi2, eps):
     """Oracle: two_scale_pairing with psi2's cuts built one period at a time."""
     cuts = [chi_eps.endpoints, psi1.endpoints]
@@ -199,28 +164,78 @@ def _random_breakpoints(rng, pieces):
     return np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, pieces - 1))])
 
 
+def _two_scale_pairing_exact(chi_eps, psi1, psi2, eps):
+    """Oracle: the pairing in rational arithmetic, cut at every (j + b) * eps
+    exactly and each factor looked up at the exact piece midpoint."""
+    e = Fraction(eps)
+    bps = {f: [Fraction(b) for b in f.breakpoints] for f in (chi_eps, psi1, psi2)}
+
+    def at(f, x):
+        return Fraction(f.values[bisect_right(bps[f], x) - 1])
+
+    cuts = set(bps[chi_eps] + bps[psi1] + [Fraction(1)])
+    cuts |= {(j + b) * e for j in range(math.ceil(1.0 / eps) + 1) for b in bps[psi2]}
+    edges = sorted(c for c in cuts if c <= 1)
+    total = Fraction(0)
+    for a, b in zip(edges, edges[1:]):
+        mid = (a + b) / 2
+        t = mid / e
+        total += at(chi_eps, mid) * at(psi1, mid) * at(psi2, t - math.floor(t)) * (b - a)
+    return total
+
+
 class TestTwoScaleCutGrid:
-    """The vectorised periodic cut grid gives the per-period loop's pairing
-    bit for bit."""
+    """The closed-form pairing against psi2's cut grid built one period at a
+    time and against exact rational arithmetic, for signed psi2."""
 
     @pytest.mark.parametrize("kind", ["whole", "fractional", "jittered"])
     def test_matches_per_period_loop(self, kind):
         rng = np.random.default_rng({"whole": 1, "fractional": 2, "jittered": 3}[kind])
         for _ in range(40):
             bp = _random_breakpoints(rng, int(rng.integers(1, 6)))
-            psi2 = PeriodicStepFunction(bp, rng.uniform(0.5, 3.0, bp.size))
+            psi2 = PeriodicStepFunction(bp, rng.uniform(-2.0, 3.0, bp.size))
             bp1 = _random_breakpoints(rng, int(rng.integers(1, 4)))
             psi1 = StepFunction(bp1, rng.uniform(-1.0, 2.0, bp1.size))
             m = int(rng.integers(1, 200))
-            # jittered: 1/eps above m by less than the period count's slack,
-            # so that the last period start m * eps falls just below 1
+            # jittered: 1/eps above m by less than the profile's period-count
+            # slack, so that the last period start m * eps falls just below 1
             inv_eps = {"whole": m, "fractional": m + rng.uniform(0.01, 0.99),
                        "jittered": m + 5e-13}[kind]
             eps = 1.0 / inv_eps
             chi = oscillating_profile(0.0, optimal_profile(float(rng.uniform(0.05, 0.95))), eps)
             got = two_scale_pairing(chi, psi1, psi2, eps)
+            # |integrand| <= scale on (0, 1); the closed form stays within a
+            # few ulps of it (worst seen 7.8e-16 * scale), the per-period sum
+            # of ~m pieces within ~m ulps (worst seen 3.3e-17 * (m + 10) * scale)
+            scale = np.max(np.abs(psi1.values)) * np.max(np.abs(psi2.values))
+            assert abs(got - float(_two_scale_pairing_exact(chi, psi1, psi2, eps))) <= 4e-15 * scale
             want = _two_scale_pairing_per_period(chi, psi1, psi2, eps)
-            assert got == want
+            assert abs(got - want) <= 1e-16 * (m + 10) * scale
+
+
+class TestTwoScaleScale:
+    """The pairing's cost depends neither on eps nor on psi2's segment count."""
+
+    # ten equal segments: the mean is the values' average, 1.55
+    PSI2 = PeriodicStepFunction(np.arange(10) / 10.0, [1.0, 2.5, 0.7, 1.9, 3.1, 0.4, 1.2, 2.2, 0.9, 1.6])
+
+    def test_many_segments_at_fine_eps_in_little_memory(self):
+        one = StepFunction.constant(1.0)
+        two_scale_pairing(one, one, self.PSI2, 1e-3)
+        tracemalloc.start()
+        try:
+            val = two_scale_pairing(one, one, self.PSI2, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert val == pytest.approx(1.55, abs=1e-14)
+
+    def test_range(self):
+        one = StepFunction.constant(1.0)
+        assert two_scale_pairing(one, one, self.PSI2, 1.0 / 1.5e6) == pytest.approx(1.55, abs=1e-14)
+        with pytest.raises(ArgumentRangeError):
+            two_scale_pairing(one, one, self.PSI2, 1.0 / 2e12)
 
 
 class TestStepLimitValue:

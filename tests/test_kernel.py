@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,58 @@ class TestSecondAntiderivative:
         k = make_lambda_kernel(1.0, 2.0, 0.5)
         with pytest.raises(ArgumentRangeError):
             k.second_antiderivative(2e12)
+
+
+def _exact_integral(f, x0, x1, eps):
+    """Oracle: the integral of f(x/eps) over [x0, x1] in rational arithmetic,
+    from whole periods and a partial sum of value * length."""
+    ends = [Fraction(b) for b in f.endpoints]
+    vals = [Fraction(v) for v in f.values]
+    mean = sum(v * (b1 - b0) for v, b0, b1 in zip(vals, ends, ends[1:]))
+
+    def primitive(t):  # integral of f over [0, t]
+        whole = math.floor(t)
+        u = t - whole
+        return whole * mean + sum(
+            v * max(Fraction(0), min(u, b1) - b0) for v, b0, b1 in zip(vals, ends, ends[1:])
+        )
+
+    e = Fraction(eps)
+    return e * (primitive(Fraction(x1) / e) - primitive(Fraction(x0) / e))
+
+
+class TestPeriodicIntegral:
+    """PeriodicStepFunction.integral against exact rational integrals."""
+
+    @pytest.mark.parametrize("kind", ["whole", "fractional", "jittered"])
+    def test_matches_exact_rational_integral(self, kind):
+        rng = np.random.default_rng({"whole": 11, "fractional": 12, "jittered": 13}[kind])
+        for _ in range(30):
+            pieces = int(rng.integers(1, 11))
+            bp = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, pieces - 1))])
+            f = PeriodicStepFunction(bp, rng.uniform(-2.0, 3.0, bp.size))  # signed
+            m = int(10 ** rng.uniform(0.0, 6.0))
+            inv_eps = {"whole": m, "fractional": m + rng.uniform(0.01, 0.99),
+                       "jittered": m + 5e-13}[kind]
+            eps = 1.0 / inv_eps
+            x = np.sort(rng.uniform(-1.0, 1.0, (2, 8)), axis=0)
+            got = f.integral(x[0], x[1], eps)
+            # roundoff bound: ~18 ulps of max|f| over |x| <= 1 (worst seen 3.6e-16)
+            bound = 4e-15 * np.max(np.abs(f.values))
+            for g, x0, x1 in zip(got, x[0], x[1]):
+                assert abs(g - float(_exact_integral(f, x0, x1, eps))) <= bound
+
+    def test_scalar_whole_line_is_the_mean(self):
+        f = PeriodicStepFunction([0.0, 0.3, 0.7], [2.0, -1.0, 0.5])
+        assert f.integral(0.0, 1.0, 1.0) == pytest.approx(0.35, abs=1e-15)
+        assert f.integral(0.0, 1.0, 1.0 / 1.5e6) == pytest.approx(0.35, abs=1e-15)
+
+    def test_argument_range_guard(self):
+        f = PeriodicStepFunction([0.0, 0.3], [1.0, -2.0])
+        with pytest.raises(ArgumentRangeError):
+            f.integral(0.0, 1.0, 1.0 / 2e12)
+        with pytest.raises(ArgumentRangeError):
+            f.integral(np.array([0.0, -3.0]), np.array([1.0, 0.0]), 1e-12)
 
 
 class TestSerialization:
