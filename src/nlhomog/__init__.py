@@ -7,13 +7,8 @@ from .kernel import (
     make_lambda_kernel,
 )
 from .states import (
-    AdmissibleDecomposition,
-    AdmissibleInterval,
-    NotAdmissible,
     StepFunction,
     TripleWellPotential,
-    admissible_interval,
-    decompose,
     integrate,
     oscillating_profile,
 )

@@ -9,7 +9,7 @@ failure rather than weakening their assertions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -52,7 +52,6 @@ class CriterionResult:
     passed: bool
     details: dict
     elapsed_s: float = 0.0
-    lines: List[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
         # elapsed time is intentionally excluded: reports must be byte-identical
@@ -125,12 +124,6 @@ def criterion_2_discrete_rearrangement(**_) -> CriterionResult:
         name="discrete_rearrangement_oracle",
         passed=all_ok,
         details={"n": n, "cases": rows},
-        lines=[
-            "({alpha:g},{beta:g}) lam={lam:g} k={k}: all={all_subsets_min:.6f} "
-            "arcs={arcs_only_min:.6f} equal={minimum_equal} arc={minimizer_is_arc}".format(**r)
-            for r in rows
-            if not r["ok"]
-        ],
     )
 
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, util
 from .cell import (
     build_cell_matrix,
     compare_with_arcs,
@@ -183,14 +182,13 @@ def _resolve_config(args) -> dict:
         # the exhaustive paths' enumeration must fit the cap
         exhaustive = args.command == "cell-verify" or cfg["method"] == "brute_force"
         cfg["n"] = 16 if exhaustive else 256
-    cfg["threads"] = int(os.environ.get("HOMOG_THREADS", cfg["threads"]))
     for key in ("difference_tol", "study_tol", "value_tol"):
         if key in cfg and cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if "quad_n" in cfg and cfg["quad_n"] != 0 and cfg["quad_n"] < 2:
         raise ConfigError("quad_n must be 0 (no quadrature) or >= 2")
-    if cfg.get("t_steps", 1) < 1:
-        raise ConfigError("t_steps must be >= 1")
+    if not 1 <= cfg.get("t_steps", 1) <= util.MAX_INTERVALS:
+        raise ConfigError(f"t_steps must lie in [1, {util.MAX_INTERVALS}]")
     return cfg
 
 

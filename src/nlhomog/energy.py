@@ -160,9 +160,7 @@ def evaluate_quadrature(
     keep = lengths > 0
     lengths = lengths[keep]
     centers = (edges[:-1] + 0.5 * np.diff(edges))[keep]
-    iu = level_idx[
-        np.clip(np.searchsorted(u.breakpoints, centers, side="right") - 1, 0, None)
-    ]
+    iu = level_idx[u.segment_index(centers)]
     total = _accel.quadrature_energy(
         centers, lengths, iu, wl, k.breakpoints, k.values, eps
     )

@@ -95,9 +95,6 @@ def _fit_rate(eps: Sequence[float], errs: Sequence[float], limit_ref: float):
 
 
 def _make_study(eps_grid, values, limit_ref, notes):
-    eps_grid = [float(e) for e in eps_grid]
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps_grid must be strictly decreasing")
     errs = [abs(v - limit_ref) for v in values]
     scale = max(1.0, abs(limit_ref))
     envelope_ok = errs[-1] <= 2.0 * errs[0] + 1e-12 * scale
@@ -124,7 +121,11 @@ def _whole_period_notes(eps_grid):
 
 def _energy_study(profile_of_eps, alpha, beta, lam, eps_grid, limit_ref, pmap):
     """Exact energies of profile_of_eps(eps) under the uncapped potential and
-    the (alpha, beta, lam) weight, one per eps, as a study against limit_ref."""
+    the (alpha, beta, lam) weight, one per eps, as a study against limit_ref.
+    The grid is checked before any energy is computed."""
+    eps_grid = [float(e) for e in eps_grid]
+    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ValueError("eps_grid must be strictly decreasing")
     pmap = pmap or serial_map
     kern = make_lambda_kernel(alpha, beta, lam)
     pot = TripleWellPotential()
@@ -132,7 +133,7 @@ def _energy_study(profile_of_eps, alpha, beta, lam, eps_grid, limit_ref, pmap):
     def one(eps):
         return evaluate(profile_of_eps(eps), pot, kern, eps).value
 
-    values = pmap(one, list(eps_grid))
+    values = pmap(one, eps_grid)
     return _make_study(eps_grid, values, limit_ref, _whole_period_notes(eps_grid))
 
 
@@ -313,20 +314,21 @@ def fM_threshold_experiment(
     experiment measures the empirical threshold over the given grid.
     """
     pmap = pmap or serial_map
+    # every cap is checked before any energy is computed
+    pots = [TripleWellPotential(cap=M) for M in M_grid]
     kern = make_lambda_kernel(alpha, beta, lam)
     u_opt = oscillating_profile(-0.5, optimal_profile(0.5), eps)
     e_opt = evaluate(u_opt, TripleWellPotential(), kern, eps).value
 
-    def row(M):
-        pot = TripleWellPotential(cap=M)
+    def row(pot):
         energies = [evaluate(u, pot, kern, eps).value for u in DEVIATION_PROFILES]
         return {
-            "M": float(M),
+            "M": float(pot.cap),
             "deviation_energies": energies,
             "all_strictly_worse": bool(all(e > e_opt for e in energies)),
         }
 
-    rows = pmap(row, list(M_grid))
+    rows = pmap(row, pots)
     threshold = next((r["M"] for r in rows if r["all_strictly_worse"]), None)
     payload = {
         "eps": eps,

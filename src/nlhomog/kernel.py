@@ -7,14 +7,17 @@ antiderivative ``B`` of ``a``, which we keep in the decomposed form
 
     B(t) = mean * t^2 / 2 + b1 * t + B_per(t),
 
-where ``B_per`` is 1-periodic and bounded. The quadratic part of the four
-corner terms of a rectangle telescopes to ``mean * area`` and the linear part
-to zero, so only ``B_per`` is ever evaluated numerically. That keeps the
-computation exact (up to roundoff) even when corner arguments grow like
-``1/eps``; subtracting raw ``B`` values would lose one digit per decade of
-``1/eps``. Single integrals of ``f(x/eps)`` use the same trick one order
-down: the slope of ``B_per`` carries all of the antiderivative but its
-linear part, so no period is ever enumerated.
+where ``B_per`` is 1-periodic and bounded. ``table`` holds ``mean`` and
+``b1`` and ``periodic_part`` evaluates ``B_per``; ``B`` itself is never
+formed. The quadratic part of the four corner terms of a rectangle
+telescopes to ``mean * area`` and the linear part to zero, so
+``energy.rect_integral`` and the circle sum of ``_accel.pair_energy`` read
+only ``mean`` and ``B_per`` (its values or its per-segment coefficients).
+That keeps the computation exact (up to roundoff) even when corner
+arguments grow like ``1/eps``; subtracting raw ``B`` values would lose one
+digit per decade of ``1/eps``. Single integrals of ``f(x/eps)`` use the same
+trick one order down: the slope of ``B_per`` carries all of the
+antiderivative but its linear part, so no period is ever enumerated.
 """
 
 from __future__ import annotations
@@ -49,9 +52,7 @@ class PeriodicStepFunction(StepFunction):
         """Segment index of t mod 1 and the offset from that segment's start."""
         t = np.asarray(t, dtype=float)
         u = t - np.floor(t)
-        # breakpoints[0] == 0 <= u, so counting the later breakpoints <= u
-        # gives the index of u's segment, searchsorted(breakpoints, u) - 1
-        idx = self.breakpoints[1:].searchsorted(u, "right")
+        idx = self.segment_index(u)
         return idx, u - self.breakpoints[idx]
 
     def eval(self, t):
@@ -129,23 +130,6 @@ class PeriodicStepKernel(PeriodicStepFunction):
         super().__init__(breakpoints, values)
         if np.any(self.values <= 0):
             raise ValueError("kernel values must be strictly positive")
-
-    def second_antiderivative(self, t):
-        """Decomposition of B(t): returns (polynomial part, periodic part).
-
-        B(t) = poly + per with poly = mean*t^2/2 + b1*t. B'' = a at segment
-        interiors; callers cancel the polynomial part symbolically.
-        """
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(np.abs(t_arr) > PERIODIC_REDUCTION_RANGE):
-            raise ArgumentRangeError(
-                f"|t| exceeds the periodic reduction range {PERIODIC_REDUCTION_RANGE:g}"
-            )
-        poly = 0.5 * self.table.mean * t_arr * t_arr + self.table.b1 * t_arr
-        per = self.periodic_part(t_arr)
-        if t_arr.ndim == 0:
-            return float(poly), float(per)
-        return poly, per
 
     def jump_sizes(self) -> np.ndarray:
         """|value jumps| at each breakpoint, wrap-around included."""

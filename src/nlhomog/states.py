@@ -1,17 +1,16 @@
-"""Step functions on (0,1), the triple-well potential, and admissibility.
+"""Step functions on (0,1), the triple-well potential, and oscillating profiles.
 
-A pair energy with the triple-well potential is finite only when the function
-takes at most two values at gap exactly 1; such functions decompose as
-u = z + chi with chi a {0,1}-valued indicator. The decomposition, the
-admissible-interval bookkeeping, and oscillating microstructure profiles all
-live here.
+A pair energy with the uncapped triple-well potential is finite only on
+functions u = z + chi with chi a {0,1}-valued indicator; the exact evaluator
+(``energy.evaluate``) makes that decision from u's levels and returns inf
+off it. Oscillating microstructure profiles z + chi(x/eps) are built here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,17 +46,17 @@ class StepFunction:
     def lengths(self) -> np.ndarray:
         return np.diff(self.endpoints)
 
+    def segment_index(self, x):
+        """Index i of the segment [b_i, b_{i+1}) holding x, elementwise.
+
+        Counts the breakpoints after b_0 = 0 that are <= x, so x < 0 falls in
+        the first segment and x >= 1 in the last.
+        """
+        return self.breakpoints[1:].searchsorted(x, "right")
+
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, None)
-        out = self.values[idx]
+        out = self.values[self.segment_index(np.asarray(x, dtype=float))]
         return float(out) if out.ndim == 0 else out
-
-    def ess_inf(self) -> float:
-        return float(np.min(self.values))
-
-    def ess_sup(self) -> float:
-        return float(np.max(self.values))
 
     def to_json(self) -> dict:
         return {"breakpoints": self.breakpoints.tolist(), "values": self.values.tolist()}
@@ -110,76 +109,6 @@ class TripleWellPotential:
         off_cost = math.inf if self.cap is None else float(self.cap)
         out = np.where(snapped, np.where(nearest == 1, 1.0, 0.0), off_cost)
         return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class AdmissibleDecomposition:
-    z: float
-    chi: StepFunction
-
-    def reconstruct(self) -> StepFunction:
-        return StepFunction(self.chi.breakpoints, self.z + self.chi.values)
-
-
-@dataclass(frozen=True)
-class NotAdmissible:
-    """Witness of inadmissibility: a value pair whose gap is not in {0, 1}."""
-
-    value_a: float
-    value_b: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.value_b - self.value_a)
-
-
-def decompose(
-    u: StepFunction, tol: float = DEFAULT_VALUE_TOL
-) -> Union[AdmissibleDecomposition, NotAdmissible]:
-    """Split u into base level z plus a {0,1} indicator, if possible.
-
-    Values are clustered with tolerance tol first. A single cluster gives
-    chi == 0; two clusters at gap 1 (within tol) give the indicator of the
-    upper-cluster intervals; anything else returns NotAdmissible with an
-    offending pair. z is chosen as the smaller cluster value.
-    """
-    order = np.argsort(u.values)
-    sorted_vals = u.values[order]
-    reps = [sorted_vals[0]]
-    for v in sorted_vals[1:]:
-        if v - reps[-1] > tol:
-            reps.append(v)
-    if len(reps) == 1:
-        chi = StepFunction(u.breakpoints, np.zeros_like(u.values))
-        return AdmissibleDecomposition(z=float(reps[0]), chi=chi)
-    if len(reps) == 2 and abs((reps[1] - reps[0]) - 1.0) <= tol:
-        z = float(reps[0])
-        chi_vals = (u.values > z + 0.5).astype(float)
-        return AdmissibleDecomposition(z=z, chi=StepFunction(u.breakpoints, chi_vals))
-    if len(reps) == 2:
-        return NotAdmissible(value_a=float(reps[0]), value_b=float(reps[1]))
-    # three or more levels: some pair must have a gap outside {0, 1}
-    for a, b in zip(reps, reps[1:]):
-        if abs((b - a) - 1.0) > tol:
-            return NotAdmissible(value_a=float(a), value_b=float(b))
-    # all adjacent gaps are 1, so the extremes are >= 2 apart
-    return NotAdmissible(value_a=float(reps[0]), value_b=float(reps[-1]))
-
-
-@dataclass(frozen=True)
-class AdmissibleInterval:
-    iota: float
-    sigma: float
-
-    @property
-    def empty(self) -> bool:
-        return self.iota > self.sigma
-
-
-def admissible_interval(u: StepFunction) -> AdmissibleInterval:
-    """[integral - ess inf, integral - ess sup + 1]; empty iff oscillation > 1."""
-    m = integrate(u)
-    return AdmissibleInterval(iota=m - u.ess_inf(), sigma=m - u.ess_sup() + 1.0)
 
 
 def _validate_arcs(arcs: Sequence[Arc]) -> list:

@@ -8,8 +8,6 @@ inverted (alpha > beta) kernels, and criterion 3's grid-aligned energies are
 exact, with first-order halving shown on an off-grid snapped arc.
 """
 
-import os
-
 from nlhomog import (
     CellProfile,
     acceptance,
@@ -28,8 +26,6 @@ def _run_and_report(fn):
     res = acceptance.run_criterion(fn)
     status = "PASS" if res.passed else "FAIL"
     print(f"ACCEPTANCE {res.cid} {res.name}: {status} ({res.elapsed_s:.2f}s)")
-    for line in res.lines:
-        print(f"    {line}")
     assert res.elapsed_s < RUNTIME_BUDGET_S[res.cid], "runtime budget exceeded"
     return res
 
@@ -45,9 +41,11 @@ def test_criterion_2_discrete_rearrangement_oracle():
     res = _run_and_report(acceptance.criterion_2_discrete_rearrangement)
     rows = res.details["cases"]
     assert len(rows) == 16
-    inverted = []
+    inverted, failing = [], []
     for r in rows:
         label = "({alpha:g},{beta:g}) lam={lam:g} k={k}".format(**r)
+        if not r["ok"]:
+            failing.append(label)
         best_arc = gamma_closed_form(r["alpha"], r["beta"], r["lam"], r["k"] / res.details["n"])
         assert abs(r["arcs_only_min"] - best_arc) <= 1e-12, label
         if r["alpha"] < r["beta"]:
@@ -61,7 +59,7 @@ def test_criterion_2_discrete_rearrangement_oracle():
             inverted.append(label)
     assert len(inverted) == 8
     assert res.passed == all(r["ok"] for r in rows)
-    assert [line.split(":")[0] for line in res.lines] == inverted, (
+    assert failing == inverted, (
         "the criterion should report exactly the inverted-kernel rows as failing"
     )
 
@@ -116,11 +114,8 @@ def test_criterion_9_reproduce_all_determinism(tmp_path):
     reports = {}
     for threads in ("1", "8"):
         out = tmp_path / f"threads{threads}"
-        os.environ["HOMOG_THREADS"] = threads
-        try:
-            dispatch(["reproduce-all", "--seed", "20260809", "--output-dir", str(out)])
-        finally:
-            del os.environ["HOMOG_THREADS"]
+        dispatch(["reproduce-all", "--seed", "20260809", "--threads", threads,
+                  "--output-dir", str(out)])
         reports[threads] = (out / "reproduce_all.json").read_bytes()
     identical = reports["1"] == reports["8"]
     print(f"ACCEPTANCE 9 reproduce_all_determinism: {'PASS' if identical else 'FAIL'}")

@@ -1,12 +1,11 @@
 import inspect
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from nlhomog import StepFunction, TripleWellPotential, evaluate, make_lambda_kernel
-from nlhomog import cli, gammalab
+from nlhomog import cli, gammalab, util
 from nlhomog.cli import dispatch
 
 
@@ -362,6 +361,24 @@ class TestStudyCommands:
             abs(v - 0.5) <= 1e-12 for v in report["result"]["pairing"]
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gamma-limit", "--eps-grid", "0.000001,0.5"], "eps_grid must be strictly decreasing"),
+            (["non-rep", "--eps-grid", "0.000001,0.5"], "eps_grid must be strictly decreasing"),
+            (["fm-threshold", "--eps", "0.000001", "--M-grid", "0.5,2"], "cap must be >= 1"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_grid_checked_before_any_energy(self, tmp_path, monkeypatch, capsys, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("energy evaluated before the grid check")
+
+        monkeypatch.setattr(gammalab, "evaluate", no_work)
+        assert dispatch(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 def _csv_matches(cell, value) -> bool:
     """A CSV cell equals its report value: bools by name, numbers exactly
@@ -498,6 +515,8 @@ class TestConfigFileValues:
             ("gamma-table", {"alpha": None}, "alpha"),
             ("gamma-table", {"alpha": [1.0]}, "alpha"),
             ("gamma-table", {"t_steps": True}, "t_steps"),
+            ("gamma-table", {"t_steps": 10**400}, "t_steps"),
+            ("gamma-table", {"t_steps": util.MAX_INTERVALS + 1}, "t_steps"),
             ("gamma-table", {"alpha": 10**400}, "alpha"),
             ("gamma-limit", {"eps_grid": 0.125}, "eps_grid"),
             ("gamma-limit", {"eps_grid": ["1/8"]}, "eps_grid"),
@@ -578,14 +597,10 @@ class TestDeterminism:
         outs = {}
         for threads in ("1", "8"):
             out = tmp_path / f"t{threads}"
-            os.environ["HOMOG_THREADS"] = threads
-            try:
-                rc = dispatch(
-                    ["gamma-limit", "--eps-grid", "0.125,0.0625,0.03125",
-                     "--seed", "7", "--output-dir", str(out)]
-                )
-            finally:
-                del os.environ["HOMOG_THREADS"]
+            rc = dispatch(
+                ["gamma-limit", "--eps-grid", "0.125,0.0625,0.03125",
+                 "--seed", "7", "--threads", threads, "--output-dir", str(out)]
+            )
             assert rc == 0
             outs[threads] = tuple(
                 (out / name).read_bytes() for name in ("gamma_limit.json", "gamma_limit.csv")

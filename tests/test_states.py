@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from nlhomog import (
-    AdmissibleDecomposition,
-    NotAdmissible,
     ResourceLimitError,
     StepFunction,
     TripleWellPotential,
-    admissible_interval,
-    decompose,
     integrate,
     optimal_profile,
     oscillating_profile,
@@ -96,6 +92,22 @@ class TestStepFunction:
         assert u.eval(0.5) == 0.8
         assert u.eval(0.99) == 0.8
 
+    def test_segment_index_matches_clipped_searchsorted(self):
+        # oracle: the last breakpoint <= x, clipped to the first segment
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            bp = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 1.0, m - 1)]))
+            u = StepFunction(bp, rng.uniform(-1.0, 1.0, bp.size))
+            x = np.concatenate([
+                bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                [-0.5, -1e-300, 1.0, np.nextafter(1.0, 2.0), 2.5], rng.uniform(0.0, 1.0, 20),
+            ])
+            want = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, None)
+            assert np.array_equal(u.segment_index(x), want)
+            for v in x:
+                assert u.segment_index(v) == want[x == v][0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StepFunction([0.1], [1.0])
@@ -107,74 +119,6 @@ class TestStepFunction:
         u2 = StepFunction.from_json(u.to_json())
         assert np.array_equal(u.breakpoints, u2.breakpoints)
         assert np.array_equal(u.values, u2.values)
-
-
-class TestDecompose:
-    def test_two_level(self):
-        u = StepFunction([0.0, 0.4, 0.6], [0.3, 1.3, 0.3])
-        d = decompose(u)
-        assert isinstance(d, AdmissibleDecomposition)
-        assert d.z == 0.3
-        assert np.array_equal(d.chi.values, [0.0, 1.0, 0.0])
-
-    def test_constant(self):
-        d = decompose(StepFunction.constant(0.7))
-        assert isinstance(d, AdmissibleDecomposition)
-        assert d.z == 0.7
-        assert np.all(d.chi.values == 0.0)
-
-    def test_half_gap_rejected(self):
-        d = decompose(StepFunction([0.0, 0.5], [0.0, 0.5]))
-        assert isinstance(d, NotAdmissible)
-        assert d.gap == pytest.approx(0.5)
-
-    def test_three_levels_rejected(self):
-        d = decompose(StepFunction([0.0, 0.3, 0.6], [0.0, 1.0, 2.0]))
-        assert isinstance(d, NotAdmissible)
-        assert d.gap == pytest.approx(2.0)
-
-    def test_round_trip_identity(self):
-        u = StepFunction([0.0, 0.2, 0.5, 0.9], [-0.2, 0.8, -0.2, 0.8])
-        d = decompose(u)
-        r = d.reconstruct()
-        assert np.array_equal(r.breakpoints, u.breakpoints)
-        assert np.array_equal(r.values, u.values)
-
-    def test_mass_bookkeeping(self):
-        u = StepFunction([0.0, 0.2, 0.5, 0.9], [-0.2, 0.8, -0.2, 0.8])
-        d = decompose(u)
-        assert integrate(u) == d.z + integrate(d.chi)
-
-    def test_noise_clustering(self):
-        u = StepFunction([0.0, 0.5], [0.3, 1.3 + 1e-13])
-        d = decompose(u, tol=1e-12)
-        assert isinstance(d, AdmissibleDecomposition)
-
-
-class TestAdmissibleInterval:
-    def test_constant_gives_unit_interval(self):
-        iv = admissible_interval(StepFunction.constant(2.3))
-        assert (iv.iota, iv.sigma) == (0.0, 1.0)
-        assert not iv.empty
-
-    def test_jump_function_gives_singleton(self):
-        s = 0.3
-        iv = admissible_interval(StepFunction([0.0, s], [1.0, 0.0]))
-        assert iv.iota == pytest.approx(s, abs=1e-15)
-        assert iv.sigma == pytest.approx(s, abs=1e-15)
-
-    def test_oscillation_above_one_is_empty(self):
-        iv = admissible_interval(StepFunction([0.0, 0.5], [0.0, 1.5]))
-        assert iv.empty
-
-    def test_empty_iff_oscillation_exceeds_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            bp = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 3))])
-            vals = rng.uniform(-1.0, 1.5, 4)
-            u = StepFunction(bp, vals)
-            iv = admissible_interval(u)
-            assert iv.empty == (u.ess_sup() - u.ess_inf() > 1.0)
 
 
 def _reference_profile(z, arcs, eps):
@@ -249,7 +193,7 @@ class TestOscillatingProfile:
         assert integrate(u) == pytest.approx(0.0, abs=1e-15)
         # 4 periods of (1, 0, 1) with wrap-around merging -> alternating 9 pieces
         assert len(u.values) == 9
-        assert u.ess_sup() - u.ess_inf() == 1.0
+        assert np.ptp(u.values) == 1.0
 
     def test_full_arc_is_constant_shift(self):
         u = oscillating_profile(0.0, [(0.0, 1.0)], 0.125)
@@ -267,7 +211,7 @@ class TestOscillatingProfile:
     def test_indicator_profiles_have_unit_oscillation(self):
         for t in (0.2, 0.5, 0.8):
             u = oscillating_profile(1.3, optimal_profile(t), 0.1)
-            assert u.ess_sup() - u.ess_inf() <= 1.0
+            assert np.ptp(u.values) <= 1.0
 
     def test_breakpoint_cap(self):
         with pytest.raises(ResourceLimitError):
