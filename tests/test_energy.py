@@ -294,6 +294,75 @@ class TestEvaluate:
             evaluate(u, INF_POT, k, 1.0 / 8.0)
 
 
+class TestAdmissibility:
+    """The exact evaluator is where admissibility is decided: the energy is
+    finite iff every level gap of u sits on a well (0 or +-1 up to value_tol)."""
+
+    K = make_lambda_kernel(1.0, 2.0, 0.5)
+
+    def test_two_level_shift_equals_its_indicator(self):
+        u = StepFunction([0.0, 0.4, 0.6], [0.3, 1.3, 0.3])
+        chi = StepFunction(u.breakpoints, [0.0, 1.0, 0.0])
+        val = evaluate(u, INF_POT, self.K, 0.1).value
+        assert math.isfinite(val)
+        assert val == evaluate(chi, INF_POT, self.K, 0.1).value
+
+    def test_constant_is_finite_at_every_level(self):
+        ref = evaluate(StepFunction.constant(0.0), INF_POT, self.K, 0.17).value
+        assert math.isfinite(ref)
+        for z in (0.7, -3.2, 1e6):
+            assert evaluate(StepFunction.constant(z), INF_POT, self.K, 0.17).value == ref
+
+    def test_three_levels_are_infinite(self):
+        u = StepFunction([0.0, 0.3, 0.6], [0.0, 1.0, 2.0])
+        assert evaluate(u, INF_POT, self.K, 0.1).value == math.inf
+        assert math.isfinite(evaluate(u, TripleWellPotential(cap=4.0), self.K, 0.1).value)
+
+    def test_noise_inside_value_tol_is_admissible(self):
+        u = StepFunction([0.0, 0.5], [0.3, 1.3 + 1e-13])
+        chi = StepFunction(u.breakpoints, [0.0, 1.0])
+        ref = evaluate(chi, INF_POT, self.K, 0.1).value
+        assert evaluate(u, INF_POT, self.K, 0.1, value_tol=1e-12).value == ref
+        for tol in (0.0, 1e-14):
+            assert evaluate(u, INF_POT, self.K, 0.1, value_tol=tol).value == math.inf
+
+    def test_off_well_level_on_a_tiny_interval_is_infinite(self):
+        u = StepFunction([0.0, 0.5, 0.5 + 1e-12], [0.0, 0.5, 1.0])
+        assert evaluate(u, INF_POT, self.K, 0.1).value == math.inf
+
+    def test_finite_iff_levels_fit_two_adjacent_wells(self):
+        # dyadic levels, so every gap is exact and value_tol 0 decides alone
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(200):
+            z = int(rng.integers(-16, 17)) / 8.0
+            cands = [z, z + 1.0, z + int(rng.integers(-8, 9)) / 4.0]
+            m = int(rng.integers(1, 6))
+            vals = np.array(cands)[rng.integers(0, 3, m)]
+            bp = np.arange(m) / m
+            levels = np.unique(vals)
+            admissible = levels.size == 1 or (levels.size == 2 and levels[1] - levels[0] == 1.0)
+            val = evaluate(StepFunction(bp, vals), INF_POT, self.K, 0.1, value_tol=0.0).value
+            assert math.isfinite(val) == admissible
+            seen.add(admissible)
+        assert seen == {True, False}
+
+    def test_capped_off_well_cost_matches_weighted_areas(self):
+        # constant weight c: energy == c * sum_ij f(v_i - v_j) |I_i| |I_j|,
+        # with f = 1 at 0, 0 at +-1 and the cap M anywhere else
+        c, M = 1.7, 3.0
+        k = PeriodicStepKernel([0.0], [c])
+        u = StepFunction([0.0, 0.25, 0.5, 0.75], [0.0, 1.0, 2.0, 0.5])
+
+        def f(d):
+            return 1.0 if d == 0.0 else 0.0 if abs(d) == 1.0 else M
+
+        w = np.array([[f(vi - vj) for vj in u.values] for vi in u.values])
+        oracle = c * float(u.lengths @ w @ u.lengths)
+        val = evaluate(u, TripleWellPotential(cap=M), k, 0.3).value
+        assert val == pytest.approx(oracle, abs=1e-14)
+
+
 class TestErrorBudget:
     """The recovery profile on whole-period grids has energy exactly equal to
     the limit, so |E - limit| is the evaluator's rounding error at that P."""
