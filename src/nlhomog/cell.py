@@ -89,9 +89,8 @@ class CellProfile:
         return cls(values=v, mean=float(np.sum(v) / v.size))
 
     @classmethod
-    def from_arcs(cls, arcs: Sequence[Arc], n: int, mode: str = "average") -> "CellProfile":
-        """Discretize an arc indicator: exact cell averages, or snap cells to
-        {0,1} by majority coverage.
+    def from_arcs(cls, arcs: Sequence[Arc], n: int) -> "CellProfile":
+        """Discretize an arc indicator by its exact cell averages.
 
         Cells inside an arc count exactly 1: their width times n is off by
         a few ulps, which at n in the thousands leaves [0, 1].
@@ -109,11 +108,7 @@ class CellProfile:
             end = np.searchsorted(edges, b, side="right") - 1
             cover[first:end] = 1.0
             v += cover
-        if mode == "average":
-            return cls.from_values(v)
-        if mode == "snap":
-            return cls.from_values((v >= 0.5).astype(float))
-        raise ValueError(f"unknown mode {mode!r}")
+        return cls.from_values(v)
 
 
 @dataclass(frozen=True)

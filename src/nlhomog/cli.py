@@ -1,11 +1,11 @@
 """Command-line interface: experiments, config ingestion, structured output.
 
-``FIELDS`` declares each config field's flag and default, and ``COMMANDS``
-the fields each subcommand reads, some of them only under one value of a
-selector field (cell-solve's method, energy's potential). A subcommand
-registers flags for all its fields and the run flags --config --output-dir
---threads --seed only; a flag or config-file field that the selected variant
-does not read is a config error.
+``FIELDS`` declares each config field's flag, default and type, and
+``COMMANDS`` the fields each subcommand reads, some of them only under one
+value of a selector field (cell-solve's method, energy's potential). A
+subcommand registers flags for all its fields and the run flags --config
+--output-dir --threads --seed only; a flag or config-file field that the
+selected variant does not read is a config error.
 Every subcommand writes a JSON report (machine consumption) and, where the
 result is tabular, a CSV next to it (plotting). A report embeds the
 command's fields plus seed and a schema_version field, and identical configs
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,67 +66,64 @@ def _load_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = p.read_text()
-    if p.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError as e:
-            raise ConfigError("TOML configs need Python >= 3.11; use JSON") from e
-        return tomllib.loads(text)
     try:
-        return json.loads(text)
+        return json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} line {e.lineno}: {e.msg}") from e
 
 
-def _parse_grid(key: str, text: str) -> list:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as e:
-        raise ConfigError(f"field {key}: bad grid value {text!r}") from e
-
-
 def _read_value(key: str, val, conv):
-    """A config-file value through conv, as a flag's text goes through its
-    type: a string is parsed, any other value must come through unchanged."""
+    """val as conv, for a flag's text and a config-file value alike: text is
+    parsed, any other value must come through conv unchanged, and a float
+    must be finite. A grid (conv list) is a non-empty list of such floats or
+    comma-separated text whose blank items are skipped."""
+    if conv is list:
+        items = [x for x in val.split(",") if x.strip()] if isinstance(val, str) else val
+        if not isinstance(items, list) or not items:
+            raise ConfigError(f"field {key}: expected a non-empty list or comma-separated text")
+        return [_read_value(key, x, float) for x in items]
     try:
         out = conv(val)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or isinstance(val, bool) or not (isinstance(val, str) or out == val):
-        raise ConfigError(f"field {key}: cannot read {val!r} as {conv.__name__}")
+    if (out is None or isinstance(val, bool) or not (isinstance(val, str) or out == val)
+            or (conv is float and not math.isfinite(out))):
+        what = "a finite float" if conv is float else conv.__name__
+        raise ConfigError(f"field {key}: cannot read {val!r} as {what}")
     return out
 
 
-# field -> (flag, default, argparse keywords); the flag's dest is the field
-# name. A selector's values (potential, method) are declared in COMMANDS only.
+# field -> (flag, default, type[, help]); the flag's dest is the field name,
+# and the flag's text and a config-file value both go through _read_value
+# with the type. A selector's values (potential, method) are declared in
+# COMMANDS only.
 FIELDS = {
-    "alpha": ("--alpha", 1.0, {"type": float}),
-    "beta": ("--beta", 2.0, {"type": float}),
-    "lambda": ("--lambda", 0.5, {"type": float}),
-    "kernel": ("--kernel", None, {"help": "kernel JSON path (overrides alpha/beta/lambda)"}),
-    "potential": ("--potential", "infinite", {}),
-    "cap": ("--cap", 8.0, {"type": float}),
-    "c": ("--c", 0.0, {"type": float}),
-    "t": ("--t", 0.5, {"type": float}),
-    "t_steps": ("--t-steps", 101, {"type": int}),
-    "s1": ("--s1", DEFAULT_S1, {"type": float}),
-    "s2": ("--s2", DEFAULT_S2, {"type": float}),
-    "eps": ("--eps", DEFAULT_FM_EPS, {"type": float}),  # energy shares it
-    "eps_grid": ("--eps-grid", list(DEFAULT_EPS_GRID), {}),
-    "M_grid": ("--M-grid", list(DEFAULT_M_GRID), {}),
-    "n": ("--n", None, {"type": int}),  # cell grid: 16 on the exhaustive paths, else 256
-    "k_ones": ("--k-ones", 8, {"type": int}),
-    "method": ("--method", "closed_form", {}),
-    "mode": ("--mode", "all_subsets", {}),
-    "quad_n": ("--quad-n", 0, {"type": int}),
-    "difference_tol": ("--tol", DEFAULT_DIFFERENCE_TOL, {"type": float}),
-    "study_tol": ("--study-tol", DEFAULT_STUDY_TOL, {"type": float}),
-    "value_tol": ("--value-tol", DEFAULT_VALUE_TOL, {"type": float}),
-    "output_dir": ("--output-dir", ".", {}),
-    "threads": ("--threads", 1, {"type": int}),
-    "seed": ("--seed", acceptance.DEFAULT_SEED, {"type": int}),
-    "u": ("--u", None, {"help": "step-function JSON path"}),
+    "alpha": ("--alpha", 1.0, float),
+    "beta": ("--beta", 2.0, float),
+    "lambda": ("--lambda", 0.5, float),
+    "kernel": ("--kernel", None, str, "kernel JSON path (overrides alpha/beta/lambda)"),
+    "potential": ("--potential", "infinite", str),
+    "cap": ("--cap", 8.0, float),
+    "c": ("--c", 0.0, float),
+    "t": ("--t", 0.5, float),
+    "t_steps": ("--t-steps", 101, int),
+    "s1": ("--s1", DEFAULT_S1, float),
+    "s2": ("--s2", DEFAULT_S2, float),
+    "eps": ("--eps", DEFAULT_FM_EPS, float),  # energy shares it
+    "eps_grid": ("--eps-grid", list(DEFAULT_EPS_GRID), list),
+    "M_grid": ("--M-grid", list(DEFAULT_M_GRID), list),
+    "n": ("--n", None, int),  # cell grid: 16 on the exhaustive paths, else 256
+    "k_ones": ("--k-ones", 8, int),
+    "method": ("--method", "closed_form", str),
+    "mode": ("--mode", "all_subsets", str),
+    "quad_n": ("--quad-n", 0, int),
+    "difference_tol": ("--tol", DEFAULT_DIFFERENCE_TOL, float),
+    "study_tol": ("--study-tol", DEFAULT_STUDY_TOL, float),
+    "value_tol": ("--value-tol", DEFAULT_VALUE_TOL, float),
+    "output_dir": ("--output-dir", ".", str),
+    "threads": ("--threads", 1, int),
+    "seed": ("--seed", acceptance.DEFAULT_SEED, int),
+    "u": ("--u", None, str, "step-function JSON path"),
 }
 
 # every command also reads these; threads and output_dir are execution
@@ -154,15 +152,6 @@ def _resolve_config(args) -> dict:
     given = _load_config_file(args.config) if args.config else {}
     if not isinstance(given, dict):
         raise ConfigError(f"config {args.config}: expected a table of fields")
-    for key, val in given.items():
-        if key not in FIELDS or (val is None and FIELDS[key][1] is None):
-            continue  # an unknown field is refused below
-        if not isinstance(FIELDS[key][1], list):
-            given[key] = _read_value(key, val, FIELDS[key][2].get("type", str))
-        elif isinstance(val, list):
-            given[key] = [_read_value(key, x, float) for x in val]
-        elif not isinstance(val, str):  # a grid string is parsed below, as a flag's is
-            raise ConfigError(f"field {key}: expected a list or a comma-separated string")
     for key in command_fields(args.command) + RUN_FIELDS:
         if getattr(args, key) is not None:
             given[key] = getattr(args, key)
@@ -172,12 +161,8 @@ def _resolve_config(args) -> dict:
         if key not in cfg:
             variant = "".join(f" with {k} {v}" for k, v in selected.items())
             raise ConfigError(f"{args.command}{variant} reads no config field {key!r}")
-        cfg[key] = val
-    for key in ("eps_grid", "M_grid"):
-        if isinstance(cfg.get(key), str):
-            cfg[key] = _parse_grid(key, cfg[key])
-        if key in cfg and not cfg[key]:
-            raise ConfigError(f"{key} must be non-empty")
+        if val is not None or FIELDS[key][1] is not None:  # null leaves a path or n unset
+            cfg[key] = _read_value(key, val, FIELDS[key][2])
     if "n" in cfg and cfg["n"] is None:
         # the exhaustive paths' enumeration must fit the cap
         exhaustive = args.command == "cell-verify" or cfg["method"] == "brute_force"
@@ -498,13 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         # no abbreviations: --eps must not turn into --eps-grid where only that exists
         p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config", help="JSON (or TOML on Python 3.11+) config file")
+        p.add_argument("--config", help="JSON config file")
         selectors = COMMANDS[name][2]
         for field in command_fields(name) + RUN_FIELDS:
-            flag, _, kwargs = FIELDS[field]
-            if field in selectors:
-                kwargs = {**kwargs, "choices": list(selectors[field])}
-            p.add_argument(flag, dest=field, **kwargs)
+            flag, _, _, *doc = FIELDS[field]
+            p.add_argument(
+                flag, dest=field, choices=selectors.get(field), help=doc[0] if doc else None
+            )
     return parser
 
 

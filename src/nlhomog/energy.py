@@ -83,7 +83,7 @@ def rect_integral(
 
 
 def _check_eps(eps: float) -> None:
-    if eps <= 0:
+    if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive")
     if 1.0 / eps > PERIODIC_REDUCTION_RANGE:
         raise ArgumentRangeError("1/eps exceeds the periodic reduction range")
@@ -157,9 +157,7 @@ def evaluate_quadrature(
         raise ValueError("quadrature needs a finite potential or an admissible u")
     edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, n + 1), u.breakpoints]))
     lengths = np.diff(edges)
-    keep = lengths > 0
-    lengths = lengths[keep]
-    centers = (edges[:-1] + 0.5 * np.diff(edges))[keep]
+    centers = edges[:-1] + 0.5 * lengths
     iu = level_idx[u.segment_index(centers)]
     total = _accel.quadrature_energy(
         centers, lengths, iu, wl, k.breakpoints, k.values, eps

@@ -137,8 +137,8 @@ class PeriodicStepKernel(PeriodicStepFunction):
 
 
 def check_lambda_parameters(alpha: float, beta: float, lam: float) -> None:
-    """The two-value weight's domain: alpha, beta > 0 and 0 < lam < 1."""
-    if alpha <= 0 or beta <= 0:
+    """The two-value weight's domain: finite alpha, beta > 0 and 0 < lam < 1."""
+    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
         raise ValueError("alpha and beta must be positive")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")

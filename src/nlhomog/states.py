@@ -34,6 +34,8 @@ class StepFunction:
             raise ValueError("breakpoints must be strictly increasing within [0, 1)")
         if vals.shape != bp.shape:
             raise ValueError("values must match breakpoints in length")
+        if not (np.isfinite(bp).all() and np.isfinite(vals).all()):
+            raise ValueError("breakpoints and values must be finite")
         self.breakpoints = bp
         self.values = vals
 
@@ -87,7 +89,7 @@ class TripleWellPotential:
     cap: Optional[float] = None
 
     def __post_init__(self):
-        if self.cap is not None and self.cap < 1.0:
+        if self.cap is not None and not 1.0 <= self.cap < math.inf:
             raise ValueError("cap must be >= 1")
 
     @property

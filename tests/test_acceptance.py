@@ -77,7 +77,7 @@ def test_criterion_3_discrete_to_continuum_halving():
     snap_errs = {}
     for n in (64, 128, 256, 512):
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), n)
-        phi = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), n, mode="snap")
+        phi = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), n).values >= 0.5
         snap_errs[n] = abs(cell_energy(K, phi) - target)
     ratios = {n: snap_errs[n] / snap_errs[2 * n] for n in (64, 128, 256)}
     assert all(1.7 <= q <= 2.3 for q in ratios.values()), ratios

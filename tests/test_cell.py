@@ -262,13 +262,13 @@ class TestCellEnergy:
                 assert abs(cell_energy(K, phi) - target) <= 1e-12
 
     def test_snap_discretization_halves_error_with_n(self):
-        # off-grid arc endpoints (t = 1/3): snapped indicators converge at
-        # first order, so the error halves when n doubles
+        # off-grid arc endpoints (t = 1/3): indicators snapped by majority
+        # coverage converge at first order, so the error halves when n doubles
         target = gamma_closed_form(1.0, 2.0, 0.5, 1.0 / 3.0)
         errs = {}
         for n in (64, 128, 256, 512):
             K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), n)
-            phi = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), n, mode="snap")
+            phi = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), n).values >= 0.5
             errs[n] = abs(cell_energy(K, phi) - target)
         for n in (64, 128, 256):
             assert 1.7 <= errs[n] / errs[2 * n] <= 2.3
@@ -278,7 +278,7 @@ class TestCellEnergy:
         errs = {}
         for n in (64, 256):
             K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), n)
-            phi = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), n, mode="average")
+            phi = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), n)
             errs[n] = abs(cell_energy(K, phi) - target)
         assert errs[64] / errs[256] == pytest.approx(16.0, rel=0.3)
 
@@ -288,9 +288,11 @@ class TestCellProfile:
         p = CellProfile.from_arcs(optimal_profile(0.5), 16)
         assert p.mean == pytest.approx(0.5, abs=1e-15)
 
-    def test_snap_values_binary(self):
-        p = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), 16, mode="snap")
-        assert set(np.unique(p.values)) <= {0.0, 1.0}
+    def test_majority_snap_keeps_the_cells_centred_in_an_arc(self):
+        # the t = 1/3 arc is [0, 1/6) and [5/6, 1); its cut cells are 2/3 covered
+        v = CellProfile.from_arcs(optimal_profile(1.0 / 3.0), 16).values
+        centres = (np.arange(16) + 0.5) / 16
+        assert np.array_equal(v >= 0.5, (centres < 1.0 / 6.0) | (centres > 5.0 / 6.0))
 
     def test_value_range_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 from pathlib import Path
 
@@ -481,7 +482,7 @@ class TestConfigHandling:
 
 
 class TestConfigFileValues:
-    """A config-file value goes through its flag's conversion."""
+    """A flag's text and a config-file value go through the same reader."""
 
     @pytest.mark.parametrize(
         "command, given, flags",
@@ -577,6 +578,8 @@ class TestConfigFileValues:
             ("--kernel", '{"breakpoints": [0, 0.5]}'),
             ("--kernel", "[0, 0.5]"),
             ("--kernel", '{"breakpoints": [0], "values": [-1]}'),
+            ("--u", '{"breakpoints": [0, NaN], "values": [0, 1]}'),
+            ("--kernel", '{"breakpoints": [0, 0.5], "values": [1, Infinity]}'),
         ],
     )
     def test_malformed_step_function_file_is_a_config_error(
@@ -589,6 +592,69 @@ class TestConfigFileValues:
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: field {flag[2:]}: bad.json ")
+        assert not (tmp_path / "out").exists()
+
+
+def _float_fields():
+    """(command, selector flags, field) for every float field a command
+    reads, under the first selector value that reads it."""
+    cases = {}
+    for command, (_, _, variants) in cli.COMMANDS.items():
+        for values in itertools.product(*variants.values()):
+            pick = dict(zip(variants, values))
+            argv = [a for key, value in pick.items() for a in (cli.FIELDS[key][0], value)]
+            for field in cli.command_fields(command, pick):
+                if cli.FIELDS[field][2] is float:
+                    cases.setdefault((command, field), argv)
+    return [(command, argv, field) for (command, field), argv in cases.items()]
+
+
+FLOAT_FIELDS = _float_fields()
+GRID_FIELDS = [
+    (command, field)
+    for command in cli.COMMANDS
+    for field in cli.command_fields(command)
+    if cli.FIELDS[field][2] is list
+]
+
+
+class TestNonFiniteNumbers:
+    """Every float field, from a flag or a config file, must be finite."""
+
+    def _refused(self, tmp_path, capsys, argv, field):
+        assert dispatch(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: field {field}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command, selector, field", FLOAT_FIELDS)
+    def test_flag(self, tmp_path, capsys, command, selector, field, text):
+        flag = cli.FIELDS[field][0]
+        self._refused(tmp_path, capsys, [command, *selector, f"{flag}={text}"], field)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("command, selector, field", FLOAT_FIELDS)
+    def test_config_file(self, tmp_path, capsys, command, selector, field, literal):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"{field}": {literal}}}')
+        self._refused(tmp_path, capsys, [command, *selector, "--config", str(cfg)], field)
+
+    @pytest.mark.parametrize("command, field", GRID_FIELDS)
+    def test_grid_element(self, tmp_path, capsys, command, field):
+        self._refused(tmp_path, capsys, [command, cli.FIELDS[field][0], "0.1,nan"], field)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"{field}": [0.1, NaN]}}')
+        self._refused(tmp_path, capsys, [command, "--config", str(cfg)], field)
+
+    def test_unreadable_flag_text_names_the_field(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, ["gamma-table", "--alpha", "x"], "alpha")
+
+    def test_toml_config_is_a_config_error_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.toml"
+        cfg.write_text("alpha = 2.0\n")
+        argv = ["gamma-table", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config {cfg} line 1: ")
         assert not (tmp_path / "out").exists()
 
 

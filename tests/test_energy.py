@@ -460,8 +460,9 @@ class TestQuadrature:
         for fn in (evaluate, lambda *a: evaluate_quadrature(*a, n=16)):
             with pytest.raises(ArgumentRangeError):
                 fn(u, INF_POT, k, 1e-13)
-            with pytest.raises(ValueError, match="eps must be positive"):
-                fn(u, INF_POT, k, 0.0)
+            for eps in (0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="eps must be positive"):
+                    fn(u, INF_POT, k, eps)
 
     def test_randomized_agreement_within_bound(self):
         rng = np.random.default_rng(11)

@@ -49,6 +49,14 @@ class TestLambdaKernel:
         with pytest.raises(ValueError):
             make_lambda_kernel(alpha, beta, lam)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_are_refused(self, bad):
+        for alpha, beta in ((bad, 2.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="alpha and beta must be positive"):
+                make_lambda_kernel(alpha, beta, 0.5)
+        with pytest.raises(ValueError, match="lam must lie in"):
+            make_lambda_kernel(1.0, 2.0, bad)
+
 
 class TestEval:
     def test_segment_values(self):

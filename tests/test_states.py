@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nlhomog import (
+    PeriodicStepFunction,
+    PeriodicStepKernel,
     ResourceLimitError,
     StepFunction,
     TripleWellPotential,
@@ -73,6 +75,11 @@ class TestPotential:
         with pytest.raises(ValueError):
             TripleWellPotential(cap=0.5)
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_non_finite_cap_is_refused(self, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            TripleWellPotential(cap=cap)
+
 
 class TestStepFunction:
     def test_integrate_constant(self):
@@ -113,6 +120,16 @@ class TestStepFunction:
             StepFunction([0.1], [1.0])
         with pytest.raises(ValueError):
             StepFunction([0.0, 0.5, 0.4], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("cls", [StepFunction, PeriodicStepFunction, PeriodicStepKernel])
+    @pytest.mark.parametrize(
+        "bp, vals",
+        [([0.0, math.nan], [1.0, 2.0]), ([0.0, 0.5, math.nan], [1.0, 2.0, 3.0]),
+         ([0.0, 0.5], [1.0, math.inf]), ([0.0, 0.5], [math.nan, 1.0])],
+    )
+    def test_non_finite_breakpoint_or_value_is_refused(self, cls, bp, vals):
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(bp, vals)
 
     def test_json_round_trip(self):
         u = StepFunction([0.0, 0.25, 0.7], [1.0, -0.5, 2.0])
