@@ -8,12 +8,18 @@ returns
 
     F(theta_a) = sum_b c_b g((theta_a - theta_b) mod 1)
 
-at every phase in O(m P log P) for P phases and m segments: the phases and
-their copies ``theta_b - 1`` are sorted once, every b has exactly one copy in
-``(theta - 1, theta]``, and the copies whose difference falls in segment s
-fill the window ``(theta - beta_{s+1}, theta - beta_s]``, which two
-``searchsorted`` calls locate. Prefix sums of ``c``, ``c*phi`` and
-``c*phi^2`` then give each window's sum of ``c_b g(theta - phi_b)`` in O(1).
+at every phase in O(P log P + m U log P) for P phases, U of them distinct,
+and m segments: the phases and their copies ``theta_b - 1`` are sorted once,
+every b has exactly one copy in ``(theta - 1, theta]``, and the copies whose
+difference falls in segment s fill the window
+``(theta - beta_{s+1}, theta - beta_s]``, which two ``searchsorted`` calls
+locate. Prefix sums of ``c``, ``c*phi`` and ``c*phi^2`` over all 2P copies
+then give each window's sum of ``c_b g(theta - phi_b)`` in O(1). F depends on
+a phase only through its value, so the windows (O(m U) indices) and their
+sums are computed once per distinct phase and copied to every entry that
+shares it, bit for bit as if each entry were done alone. An eps-periodic
+profile has few distinct phases: the 2 000 002 endpoints of the recovery
+profile at 1/eps = 1e6 fall on U = 59 (rounding splits its 3 exact phases).
 Windows are closed on the right, so a difference that lands exactly on
 ``beta_s`` belongs to segment s, matching the left-closed segments of the
 weight. The prefix sums of ``c*phi`` and ``c*phi^2`` are accumulated in
@@ -85,9 +91,17 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
     order = np.argsort(theta, kind="stable")
     ts = theta[order]
     phi = np.concatenate([ts - 1.0, ts])
+    # F depends on a phase only through its value: evaluate it once per
+    # distinct phase tu[g], then copy it to every phase of group g
+    first = np.empty(ts.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ts[1:], ts[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    tu = ts[first]
+    del ts, first
     edges = np.append(kbp, 1.0)
-    # window of segment s is phi[cut[s+1]:cut[s]], i.e. (ts - edges[s+1], ts - edges[s]]
-    cut = [np.searchsorted(phi, ts - e, side="right") for e in edges]
+    # window of segment s is phi[cut[s+1]:cut[s]], i.e. (tu - edges[s+1], tu - edges[s]]
+    cut = [np.searchsorted(phi, tu - e, side="right") for e in edges]
     quadratic = q1 is not None and (np.any(q1) or np.any(q2))
     out = np.empty((weights.shape[0], theta.size))
     for k, w in enumerate(weights):
@@ -99,7 +113,7 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
             c *= phi
             pre2 = _cumsum0(c, np.longdouble)
         del c
-        F = np.zeros(theta.size)
+        F = np.zeros(tu.size)
         for s in range(edges.size - 1):
             lo, hi = cut[s + 1], cut[s]
             C0 = pre0[hi] - pre0[lo]
@@ -108,10 +122,11 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
                 continue
             C1 = (pre1[hi] - pre1[lo]).astype(float)
             C2 = (pre2[hi] - pre2[lo]).astype(float)
-            d = ts - edges[s]
+            d = tu - edges[s]
             # sum_b c_b g_s(d - phi_b), expanded in powers of d
             F += q0[s] * C0 + q1[s] * (d * C0 - C1) + q2[s] * (d * (d * C0 - 2.0 * C1) + C2)
-        out[k, order] = F
+        out[k, order] = F[group]
+        pre0 = pre1 = pre2 = None  # freed before the next row's are built
     return out
 
 

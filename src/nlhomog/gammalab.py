@@ -255,6 +255,9 @@ def non_representability_certificate(
         raise ValueError("s1, s2 must be distinct points of (0, 1)")
     if abs((s1 + s2) - 1.0) <= 1e-12:
         raise ValueError("degenerate pair: s2 == 1 - s1 forces equal implied costs")
+    for name, value in (("tol", tol), ("study_tol", study_tol)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive")
     g_a = implied_g1(s1, alpha, beta, lam)
     g_b = implied_g1(s2, alpha, beta, lam)
     diff = abs(g_a - g_b)

@@ -13,6 +13,7 @@ from nlhomog import (
     TripleWellPotential,
     _accel,
     make_lambda_kernel,
+    oscillating_profile,
 )
 from nlhomog.cell import build_cell_matrix, solve_brute_force
 from nlhomog.energy import _level_structure, evaluate, evaluate_quadrature, rect_integral
@@ -129,6 +130,84 @@ class TestQuadratureOracle:
         direct = _direct_quadrature(centers, lengths, iu, wl, k, eps)
         assert abs(quad.value - exact) <= quad.bound
         assert abs(direct - exact) <= quad.bound
+
+
+def _distinct_phases(x, eps):
+    return np.unique(_accel.phases(x, eps)).size
+
+
+def _random_arcs(rng, count):
+    """count disjoint arcs of the unit cell, ends on the 1/64 grid."""
+    ends = np.sort(rng.choice(np.arange(64), 2 * count, replace=False)) / 64.0
+    return [(float(a), float(b)) for a, b in ends.reshape(-1, 2)]
+
+
+def _kernel_without_jump_at_zero(rng):
+    """A random weight whose last segment has the value of its first, so a
+    difference that is a whole number of periods is not a tie."""
+    k = _random_kernel(rng)
+    values = k.values.copy()
+    values[-1] = values[0]
+    return PeriodicStepKernel(k.breakpoints, values)
+
+
+class TestRepeatedPhases:
+    """Periodic profiles and grids commensurate with eps put many entries at
+    one phase; circle_field evaluates each distinct phase once."""
+
+    def test_periodic_profile_matches_rectangle_sum(self):
+        rng = np.random.default_rng(20261019)
+        p = TripleWellPotential()
+        for count in (1, 2, 3):
+            top = 120 // count  # at most ~2 * count * top + 2 = 242 intervals
+            for kind in ("whole", "half", "jitter"):
+                for kern in (make_lambda_kernel(*rng.uniform(0.5, 3.0, 2), rng.uniform(0.1, 0.9)),
+                             _random_kernel(rng)):
+                    m = int(rng.integers(2, top))
+                    inv_eps = {"whole": m, "half": m + 0.5, "jitter": m + rng.uniform(0.1, 0.9)}[kind]
+                    eps = 1.0 / inv_eps
+                    u = oscillating_profile(float(rng.uniform(-1.0, 1.0)), _random_arcs(rng, count), eps)
+                    assert u.values.size <= 250
+                    case = (count, kind, inv_eps)
+                    assert _distinct_phases(u.endpoints, eps) < u.endpoints.size, case
+                    fast = _accel.pair_energy(*_pair_args(u, p, kern, eps))
+                    oracle = _rect_sum(u, p, kern, eps)
+                    assert abs(fast - oracle) <= 1e-13 * abs(oracle), (case, fast, oracle)
+
+    @pytest.mark.parametrize("n, eps", [(512, 1.0 / 16.0), (480, 0.05), (600, 1.0 / 24.0),
+                                        (300, 7.0 / 300.0)])
+    def test_commensurate_grid_matches_direct_sum(self, n, eps):
+        rng = np.random.default_rng(n)
+        lengths = np.full(n, 1.0 / n)
+        centers = (np.arange(n) + 0.5) / n
+        assert _distinct_phases(centers, eps) < n
+        for case in range(5):
+            k = _kernel_without_jump_at_zero(rng)
+            L = int(rng.integers(1, 4))
+            iu = rng.integers(0, L, n)
+            w = rng.uniform(0.0, 5.0, (L, L))
+            w = 0.5 * (w + w.T)
+            fast = _accel.quadrature_energy(centers, lengths, iu, w, k.breakpoints, k.values, eps)
+            direct = _direct_quadrature(centers, lengths, iu, w, k, eps)
+            assert abs(fast - direct) <= 1e-12 * abs(direct), (case, fast, direct)
+
+    def test_equal_phases_get_equal_entries(self):
+        rng = np.random.default_rng(5)
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        t = k.table
+        theta = _accel.phases(rng.choice(rng.uniform(0.0, 3.0, 7), 300), 1.0)
+        theta[:5] = 0.0
+        assert np.unique(theta).size == 8
+        weights = rng.normal(size=(2, theta.size))
+        quad = _accel.circle_field(theta, weights, k.breakpoints, t.q0, t.q1, t.q2)
+        const = _accel.circle_field(theta, weights, k.breakpoints, k.values)
+        for v in np.unique(theta):
+            for F in (quad, const):
+                same = F[:, theta == v]
+                assert np.array_equal(same, np.repeat(same[:, :1], same.shape[1], axis=1)), v
+            # the constant field against its plain sum over all 300 entries
+            direct = weights @ k.eval(np.mod(v - theta, 1.0))
+            np.testing.assert_allclose(const[:, theta == v][:, 0], direct, rtol=1e-12, atol=1e-12)
 
 
 def _lexicographic_scan(row, n, k, tie_tol, chunk=4096):

@@ -105,6 +105,13 @@ class TestRectIntegral:
         with pytest.raises(ArgumentRangeError):
             rect_integral(k, 1e-13, 0.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf])
+    def test_non_finite_eps_is_refused(self, eps):
+        # at eps = inf the corner term would be inf * 0 = nan
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            rect_integral(k, eps, 0.0, 0.5, 0.0, 1.0)
+
 
 def _periodic_part_oracle(k, t):
     """B_per as first written: the segment index by searchsorted over all

@@ -335,6 +335,18 @@ class TestNonRepresentability:
         cert = non_representability_certificate(1.0, 2.0, 0.5, tol=10.0, eps_grid=EPS_GRID)
         assert cert.verdict == "refuted"
 
+    @pytest.mark.parametrize("name", ["tol", "study_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tolerance_is_refused_before_any_study(self, monkeypatch, name, value):
+        # a nan tolerance fails every comparison, so it would pick a verdict
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr(gammalab, "run_recovery_study", no_study)
+        monkeypatch.setattr(gammalab, "run_step_study", no_study)
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            non_representability_certificate(1.0, 2.0, 0.5, eps_grid=EPS_GRID, **{name: value})
+
 
 class TestCappedThreshold:
     def test_confirmed_with_threshold_one(self):
