@@ -8,26 +8,26 @@ returns
 
     F(theta_a) = sum_b c_b g((theta_a - theta_b) mod 1)
 
-at every phase in O(P log P + m U log P) for P phases, U of them distinct,
-and m segments: the phases and their copies ``theta_b - 1`` are sorted once,
-every b has exactly one copy in ``(theta - 1, theta]``, and the copies whose
-difference falls in segment s fill the window
-``(theta - beta_{s+1}, theta - beta_s]``, which two ``searchsorted`` calls
-locate. Prefix sums of ``c``, ``c*phi`` and ``c*phi^2`` over all 2P copies
-then give each window's sum of ``c_b g(theta - phi_b)`` in O(1). F depends on
-a phase only through its value, so the windows (O(m U) indices) and their
-sums are computed once per distinct phase and copied to every entry that
-shares it, bit for bit as if each entry were done alone. An eps-periodic
-profile has few distinct phases: the 2 000 002 endpoints of the recovery
+at every phase in O(P log P + m U log U) for P phases, U of them distinct,
+and m segments. F depends on a phase only through its value, so
+``np.unique`` merges the entries of each distinct phase (``np.bincount``
+sums their weights) and the sums run over the U distinct phases and their
+copies ``theta - 1``: each phase has one copy in ``(theta - 1, theta]``, the
+copies whose difference falls in segment s fill the window
+``(theta - beta_{s+1}, theta - beta_s]`` that two ``searchsorted`` calls
+locate, and prefix sums of ``c``, ``c*phi`` and ``c*phi^2`` over the 2U
+copies give each window's sum in O(1). Memory is O(P) for the phases and
+each output row plus O(m U). The 2 000 002 endpoints of the recovery
 profile at 1/eps = 1e6 fall on U = 59 (rounding splits its 3 exact phases).
 Windows are closed on the right, so a difference that lands exactly on
 ``beta_s`` belongs to segment s, matching the left-closed segments of the
 weight. The prefix sums of ``c*phi`` and ``c*phi^2`` are accumulated in
-``np.longdouble``: in double precision their rounding error grows with P and
-reached ~1e-12 relative in the energy at P = 6e5, while with the 64-bit
-mantissa of x86-64 long doubles the energy stays within a few ulps up to
-P = 2e6 (see ``energy``). Where numpy's long double is plain double the
-result loses that margin but not its correctness.
+``np.longdouble``: in double precision their rounding error grows with the
+number of copies and reached ~1e-12 relative in the energy at P = 6e5 with
+every phase distinct; with the 64-bit mantissa of x86-64 long doubles the
+energy stays within a few ulps up to P = 2e6 (see ``energy``), and where
+numpy's long double is plain double it loses that margin but not its
+correctness.
 
 - ``pair_energy`` (exact): with ``D^l`` the signed endpoint measure of level l
   (+1 at right ends, -1 at left ends of its intervals) and ``S_l`` its total
@@ -88,24 +88,16 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
     per field. ``g`` has segments starting at ``kbp`` with coefficients
     ``q0, q1, q2``; leaving out q1 and q2 makes it piecewise constant.
     """
-    order = np.argsort(theta, kind="stable")
-    ts = theta[order]
-    phi = np.concatenate([ts - 1.0, ts])
-    # F depends on a phase only through its value: evaluate it once per
-    # distinct phase tu[g], then copy it to every phase of group g
-    first = np.empty(ts.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ts[1:], ts[:-1], out=first[1:])
-    group = np.cumsum(first) - 1
-    tu = ts[first]
-    del ts, first
+    # F depends on a phase only through its value: one weight per distinct phase
+    tu, inv = np.unique(theta, return_inverse=True)
+    phi = np.concatenate([tu - 1.0, tu])
     edges = np.append(kbp, 1.0)
     # window of segment s is phi[cut[s+1]:cut[s]], i.e. (tu - edges[s+1], tu - edges[s]]
     cut = [np.searchsorted(phi, tu - e, side="right") for e in edges]
     quadratic = q1 is not None and (np.any(q1) or np.any(q2))
     out = np.empty((weights.shape[0], theta.size))
     for k, w in enumerate(weights):
-        c = np.tile(w[order], 2)
+        c = np.tile(np.bincount(inv, weights=w, minlength=tu.size), 2)
         pre0 = _cumsum0(c)
         if quadratic:
             c *= phi
@@ -125,7 +117,7 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
             d = tu - edges[s]
             # sum_b c_b g_s(d - phi_b), expanded in powers of d
             F += q0[s] * C0 + q1[s] * (d * C0 - C1) + q2[s] * (d * (d * C0 - 2.0 * C1) + C2)
-        out[k, order] = F[group]
+        out[k] = F[inv]
         pre0 = pre1 = pre2 = None  # freed before the next row's are built
     return out
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import acceptance, util
 from .cell import (
+    BRUTE_FORCE_CAP,
     build_cell_matrix,
     compare_with_arcs,
     enumeration_size,
@@ -262,13 +263,27 @@ def _cmd_gamma_table(cfg, pmap) -> int:
     return 0
 
 
+def _cell_matrix(cfg, subset_sizes=()):
+    """The config's cell matrix, built only after the caps pass: n cells, every
+    all-subsets search (k_ones, or each of subset_sizes), arcs-only k_ones^2."""
+    n, k, mode = cfg["n"], cfg.get("k_ones"), cfg.get("mode")
+    if n > util.MAX_INTERVALS:
+        raise ResourceLimitError(f"build_cell_matrix: {n} cells exceed the cap {util.MAX_INTERVALS}")
+    if mode == "arcs_only" and k * k > BRUTE_FORCE_CAP:
+        raise ResourceLimitError(f"solve_brute_force: an arc of k_ones = {k} cells sums {k * k} "
+                                 f"offsets, over the cap {BRUTE_FORCE_CAP}")
+    for size in [k] if mode == "all_subsets" else subset_sizes:
+        enumeration_size(n, size)
+    return build_cell_matrix(_kernel_from_config(cfg), n)
+
+
 def _cmd_cell_solve(cfg, pmap) -> int:
     method = cfg["method"]
     if method == "closed_form":
         val = gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["t"])
         result = {"method": "closed_form", "t": cfg["t"], "energy": val}
     elif method == "projected_gradient":
-        K = build_cell_matrix(_kernel_from_config(cfg), cfg["n"])
+        K = _cell_matrix(cfg)
         res = solve_relaxed(K, cfg["t"], seed=cfg["seed"])
         result = {
             "method": res.method,
@@ -280,9 +295,7 @@ def _cmd_cell_solve(cfg, pmap) -> int:
             "profile": res.profile.values.tolist(),
         }
     else:
-        if cfg["mode"] == "all_subsets":
-            enumeration_size(cfg["n"], cfg["k_ones"])
-        K = build_cell_matrix(_kernel_from_config(cfg), cfg["n"])
+        K = _cell_matrix(cfg)
         res = solve_brute_force(K, cfg["k_ones"], mode=cfg["mode"])
         result = {
             "method": res.method,
@@ -301,12 +314,9 @@ def _cmd_cell_solve(cfg, pmap) -> int:
 
 
 def _cmd_cell_verify(cfg, pmap) -> int:
-    kern = _kernel_from_config(cfg)
     n = cfg["n"]
     ks = range(0, n + 1, max(1, n // 8))
-    for k in ks:
-        enumeration_size(n, k)
-    K = build_cell_matrix(kern, n)
+    K = _cell_matrix(cfg, ks)
     rows = []
     all_equal = True
     for k in ks:

@@ -30,17 +30,17 @@ gamma_limit_constant_value: worst |E - limit| / limit over the weights
 z = -1/2, -0.2 on x86-64:
 
     1/eps = 2^10, 2^12, ..., 2^20  (P = 2049 .. 2_097_153)  <= 1.6e-16
-    1/eps = 1e3, 1e4, 1e5, 1e6     (P = 2001 .. 2_000_001)  <= 1.8e-16
-    1/eps = 3e5                    (P = 600_001)            <= 4.7e-16
+    1/eps = 1e3, 1e4, 1e5, 1e6     (P = 2001 .. 2_000_001)  <= 3.1e-16
+    1/eps = 3e5                    (P = 600_001)            <= 3.1e-16
 
 tests/test_energy.py::TestErrorBudget holds 1/eps = 2^14 and 2^16 to 1e-12.
-At 1/eps = 1e6 the profile builds in ~0.2 s and evaluates in ~0.7 s on one
-core of a 2-vCPU VM (peak RSS ~0.5 GB): its 2 000 002 endpoints fall on 59
-distinct phases, and ``_accel.circle_field`` does its window sums once per
-distinct phase. A profile whose P = 2e6 endpoints all have distinct phases
-takes ~2.6 s (peak RSS ~0.7 GB). ``util.MAX_INTERVALS``, the one
-interval cap of profile construction, the evaluator and the quadrature grid,
-admits it and 1/eps = 2^20.
+At 1/eps = 1e6 the profile builds in ~0.2 s and evaluates in ~0.4 s on one
+core of a 2-vCPU VM (peak RSS ~0.23 GB): its 2 000 002 endpoints fall on 59
+distinct phases, and ``_accel.circle_field`` merges the endpoints of each
+distinct phase before its window sums. A profile whose P = 2e6 endpoints all
+have distinct phases takes ~2 s (peak RSS ~0.65 GB). ``util.MAX_INTERVALS``,
+the one interval cap of profile construction, the evaluator and the
+quadrature grid, admits it and 1/eps = 2^20.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def evaluate_quadrature(
     max_a = float(np.max(k.values))
     C = centers.shape[0]
     h_max = float(np.max(lengths))
-    jumps = float(np.sum(k.jump_sizes()))
+    jumps = float(np.sum(np.abs(k.values - np.roll(k.values, 1))))  # wrap-around included
     bound = jumps * (2.0 / eps + 1.0) * 2.0 * C * w_max * h_max * h_max
     bound += 1e-11 * max_a * w_max
     return EnergyReport(value=float(total), method="quadrature", eps=eps, bound=bound)

@@ -34,6 +34,16 @@ from .util import ArgumentRangeError
 PERIODIC_REDUCTION_RANGE = 1e12
 
 
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly: Dekker's TwoProduct with
+    Veltkamp's split (Numer. Math. 1971); numpy has no fused multiply-add."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1: halves of 26 bits
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 class PeriodicStepFunction(StepFunction):
     """Real-valued step function on the unit circle (no sign restriction).
 
@@ -82,11 +92,15 @@ class PeriodicStepFunction(StepFunction):
                 f"|x|/eps exceeds the periodic reduction range {PERIODIC_REDUCTION_RANGE:g}"
             )
 
-        def slope(t):
-            idx, du = self._locate(t)
+        def slope(x):
+            # the phase of x/eps = t + r/eps, r = x - t*eps exactly: t alone
+            # may round an end next to a jump of f onto the jump or across it
+            t = x / eps
+            p, e = _two_product(t, eps)
+            idx, du = self._locate((t - np.floor(t)) + ((x - p) - e) / eps)
             return self.table.q1[idx] + 2.0 * du * self.table.q2[idx]
 
-        return self.table.mean * (x1 - x0) + eps * (slope(x1 / eps) - slope(x0 / eps))
+        return self.table.mean * (x1 - x0) + eps * (slope(x1) - slope(x0))
 
 
 @dataclass(frozen=True)
@@ -130,10 +144,6 @@ class PeriodicStepKernel(PeriodicStepFunction):
         super().__init__(breakpoints, values)
         if np.any(self.values <= 0):
             raise ValueError("kernel values must be strictly positive")
-
-    def jump_sizes(self) -> np.ndarray:
-        """|value jumps| at each breakpoint, wrap-around included."""
-        return np.abs(self.values - np.roll(self.values, 1))
 
 
 def check_lambda_parameters(alpha: float, beta: float, lam: float) -> None:

@@ -199,15 +199,28 @@ class TestRepeatedPhases:
         theta[:5] = 0.0
         assert np.unique(theta).size == 8
         weights = rng.normal(size=(2, theta.size))
-        quad = _accel.circle_field(theta, weights, k.breakpoints, t.q0, t.q1, t.q2)
-        const = _accel.circle_field(theta, weights, k.breakpoints, k.values)
-        for v in np.unique(theta):
-            for F in (quad, const):
-                same = F[:, theta == v]
-                assert np.array_equal(same, np.repeat(same[:, :1], same.shape[1], axis=1)), v
-            # the constant field against its plain sum over all 300 entries
-            direct = weights @ k.eval(np.mod(v - theta, 1.0))
-            np.testing.assert_allclose(const[:, theta == v][:, 0], direct, rtol=1e-12, atol=1e-12)
+        # phase 0.6 with weights a, -a, b, -b, which merge to exactly 0
+        a, b = rng.normal(size=(2, 2))
+        cancel = (np.append(theta, [0.6] * 4),
+                  np.concatenate([weights, np.stack([a, -a, b, -b], axis=1)], axis=1))
+        assert not np.any(np.bincount(np.zeros(4, dtype=np.int64), weights=cancel[1][0, -4:]))
+        # one phase held by more than 2^16 entries
+        many = 70_000
+        crowded = (np.append(theta, np.full(many, theta[7])),
+                   np.concatenate([weights, rng.normal(size=(2, many))], axis=1))
+        for theta, weights in ((theta, weights), cancel, crowded):
+            quad = _accel.circle_field(theta, weights, k.breakpoints, t.q0, t.q1, t.q2)
+            const = _accel.circle_field(theta, weights, k.breakpoints, k.values)
+            for v in np.unique(theta):
+                for F in (quad, const):
+                    same = F[:, theta == v]
+                    assert np.array_equal(same, np.repeat(same[:, :1], same.shape[1], axis=1)), v
+                # each field against its plain sum over all entries
+                diff = np.mod(v - theta, 1.0)
+                direct = weights @ k.eval(diff)
+                np.testing.assert_allclose(const[:, theta == v][:, 0], direct, rtol=1e-12, atol=1e-12)
+                direct = weights @ k.periodic_part(diff)
+                np.testing.assert_allclose(quad[:, theta == v][:, 0], direct, rtol=1e-12, atol=1e-12)
 
 
 def _lexicographic_scan(row, n, k, tie_tol, chunk=4096):

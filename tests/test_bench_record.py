@@ -12,12 +12,12 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def _write_side(root, walls, setups, rss):
+def _write_side(root, walls, setups, rss, source="0" * 64, first_seed=1):
     results = root / ".bench_out" / "results"
-    results.mkdir(parents=True)
-    env = {"commit": None, "source_sha256": "0" * 64, "nproc": 2,
+    results.mkdir(parents=True, exist_ok=True)
+    env = {"commit": None, "source_sha256": source, "nproc": 2,
            "python": "3", "numpy": "2"}
-    for seed, (w, s, r) in enumerate(zip(walls, setups, rss), start=1):
+    for seed, (w, s, r) in enumerate(zip(walls, setups, rss), start=first_seed):
         rec = {"environment": env, "workload": "cell", "args": {"seed": seed, "trace": 0},
                "pass_seconds": [w, w],
                "end_to_end": {"wall_s": w, "setup_s": s, "peak_rss_mb": r, "failed_frac": 0.0}}
@@ -62,3 +62,16 @@ def test_higher_is_better_metrics_flip_the_sign():
     assert v["gain_exceeds_iqr"] and not v["worse_than_bound"]
     v = bench_record.metric_verdict(base, [9.0] * 4, "higher", 0.05)
     assert v["wins"] == 0 and v["worse_than_bound"]
+
+
+def test_side_mixing_source_trees_is_refused(tmp_path):
+    _write_side(tmp_path, [0.5] * 3, [0.1] * 3, [40.0] * 3, source="a" * 64)
+    _write_side(tmp_path, [0.4] * 2, [0.1] * 2, [40.0] * 2, source="b" * 64, first_seed=4)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.read_side(tmp_path)
+    message = str(exc.value)
+    assert "2 source trees" in message
+    assert f"source_sha256 {'a' * 64} in 3 files" in message
+    assert f"source_sha256 {'b' * 64} in 2 files" in message
+    _write_side(tmp_path / "one", [0.5] * 3, [0.1] * 3, [40.0] * 3, source="a" * 64)
+    assert bench_record.read_side(tmp_path / "one")["source_sha256"] == "a" * 64

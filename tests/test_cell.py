@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from nlhomog import (
     CellProfile,
@@ -145,42 +144,22 @@ class TestCellMatrix:
         for j in range(1, 16):
             assert K.first_row[j] == pytest.approx(K.first_row[16 - j], abs=1e-13)
 
-    def test_fft_and_direct_matvec_agree(self, monkeypatch):
-        k = PeriodicStepKernel([0.0, 0.2, 0.5], [1.0, 3.0, 2.0])  # asymmetric
-        for n in (128, 1024):
-            K = build_cell_matrix(k, n)
-            x = np.random.default_rng(0).uniform(size=n)
-            monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", n + 1)
-            d = K.matvec(x)
-            monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", n)
-            f = K.matvec(x)
-            assert np.max(np.abs(d - f)) <= 1e-10
-
-    def test_direct_matvec_matches_dense(self, monkeypatch):
-        monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", 1024)
+    @pytest.mark.parametrize("n", [2, 3, 12, 17, 128, 256, 1023, 1024, 1025])
+    def test_matvec_matches_dense_matrix(self, n):
+        # the FFT against the full circulant matrix, for the rows of an
+        # asymmetric weight and for signed random rows
+        rng = np.random.default_rng(n)
         k = PeriodicStepKernel([0.0, 0.2, 0.5], [1.0, 3.0, 2.0])
-        n = 12
-        K = build_cell_matrix(k, n)
-        x = np.arange(n, dtype=float)
-        assert np.allclose(K.matvec(x), _dense(K) @ x, atol=1e-12)
+        for K in (build_cell_matrix(k, n),
+                  CellKernelMatrix(n=n, first_row=rng.standard_normal(n), abar=0.0)):
+            for x in (rng.uniform(size=n), rng.standard_normal(n), np.arange(n, dtype=float)):
+                # every |y_i| is at most sum|row| * max|x|
+                scale = np.sum(np.abs(K.first_row)) * np.max(np.abs(x))
+                assert np.max(np.abs(K.matvec(x) - _dense(K) @ x)) <= 1e-14 * scale
 
-    def test_direct_matvec_equals_index_gather_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", 1024)
-        # the reference builds the same dense matrix through an int64 index
-        # matrix; the same matrix and the same BLAS product give equal bits
-        rng = np.random.default_rng(11)
-        for n in list(range(2, 65)) + list(range(65, 1023, 53)) + [1023]:
-            K = CellKernelMatrix(n=n, first_row=rng.uniform(0.5, 3.0, n), abar=1.0)
-            x = rng.standard_normal(n)
-            assert np.array_equal(K.matvec(x), _dense(K) @ x), n
-
-    def test_cached_operators_match_uncached_formulas_bit_for_bit(self, monkeypatch):
+    def test_cached_operators_match_uncached_formulas_bit_for_bit(self):
         # the formulas matvec and _spectral_norm evaluated per call before
-        # their operators were cached on the matrix
-        def direct(K, x):
-            r2 = np.concatenate([K.first_row, K.first_row])
-            return np.ascontiguousarray(sliding_window_view(r2, K.n)[K.n:0:-1]) @ x
-
+        # their operator was cached on the matrix
         def fft(K, x):
             return np.fft.ifft(np.conj(np.fft.fft(K.first_row)) * np.fft.fft(x)).real
 
@@ -195,20 +174,11 @@ class TestCellMatrix:
         for K in matrices:
             n = K.n
             assert _spectral_norm(K) == norm(K), n
-            # repeated calls, the path switched between calls on one matrix
-            for threshold in (cell.FFT_MATVEC_THRESHOLD, n + 1, n, n + 1, 2, n, n):
-                monkeypatch.setattr(cell, "FFT_MATVEC_THRESHOLD", threshold)
+            for _ in range(3):  # repeated calls on one matrix
                 x = rng.standard_normal(n)
-                want = fft(K, x) if n >= threshold else direct(K, x)
-                assert np.array_equal(K.matvec(x), want), (n, threshold)
+                assert np.array_equal(K.matvec(x), fft(K, x)), n
             assert _spectral_norm(K) == norm(K), n
-
-    def test_fft_path_builds_no_dense_matrix(self):
-        K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), cell.FFT_MATVEC_THRESHOLD)
-        K.matvec(np.ones(K.n))
-        _spectral_norm(K)
-        assert "dense" not in vars(K)
-        assert K.conj_spectrum is K.conj_spectrum
+            assert K.conj_spectrum is K.conj_spectrum
 
     def test_spectral_norm_equals_largest_eigenvalue(self):
         kernels = [

@@ -213,6 +213,32 @@ class TestDefaultConfigs:
         assert "enumeration cap" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    BIG_N = util.MAX_INTERVALS + 1
+    BIG_N_MESSAGE = f"build_cell_matrix: {BIG_N} cells exceed the cap {util.MAX_INTERVALS}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cell-solve", "--method", "projected_gradient", "--n", str(BIG_N)], BIG_N_MESSAGE),
+            (["cell-solve", "--method", "brute_force", "--n", str(BIG_N), "--k-ones", "1"],
+             BIG_N_MESSAGE),
+            (["cell-verify", "--n", str(BIG_N)], BIG_N_MESSAGE),
+            # 3163^2 is the first square above the cap of 10^7
+            (["cell-solve", "--method", "brute_force", "--mode", "arcs_only", "--n", "50000",
+              "--k-ones", "3163"],
+             "solve_brute_force: an arc of k_ones = 3163 cells sums 10004569 offsets, "
+             "over the cap 10000000"),
+        ],
+    )
+    def test_cell_size_caps_checked_before_work(self, tmp_path, monkeypatch, capsys, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("cell matrix built before the cap check")
+
+        monkeypatch.setattr(cli, "build_cell_matrix", no_work)
+        assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
 
 REPORTS = {
     "energy": "energy.json",

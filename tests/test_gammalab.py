@@ -212,6 +212,18 @@ class TestTwoScaleCutGrid:
             want = _two_scale_pairing_per_period(chi, psi1, psi2, eps)
             assert abs(got - want) <= 1e-16 * (m + 10) * scale
 
+    @pytest.mark.parametrize("inv_eps", [1000.0, 1e4])
+    def test_piece_ends_on_weight_jumps(self, inv_eps):
+        # the recovery profile's arcs end where the lambda weight jumps, so
+        # x/eps at a piece end rounds onto a jump or across it
+        eps = 1.0 / inv_eps
+        chi = oscillating_profile(0.0, optimal_profile(0.5), eps)
+        one = StepFunction.constant(1.0)
+        psi2 = make_lambda_kernel(1.0, 2.0, 0.5)
+        got = two_scale_pairing(chi, one, psi2, eps)
+        scale = np.max(np.abs(psi2.values))
+        assert abs(got - float(_two_scale_pairing_exact(chi, one, psi2, eps))) <= 4e-15 * scale
+
 
 class TestTwoScaleScale:
     """The pairing's cost depends neither on eps nor on psi2's segment count."""

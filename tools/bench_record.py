@@ -2,7 +2,9 @@
 """Assemble a BENCH_<short-sha>.json record from perfbench result files.
 
 Each side is a checkout in which ``python3 perfbench/run.py`` has been run;
-its ``.bench_out/results/*.json`` files are read. Usage, from the root of the
+its ``.bench_out/results/*.json`` files are read, and they must all come from
+one source tree (one ``source_sha256``): a side that mixes trees is refused
+with each hash and its file count. Usage, from the root of the
 change's checkout:
 
     python3 tools/bench_record.py --side parent=../parent --side change=. \\
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+from collections import Counter
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "failed_frac")
@@ -44,10 +47,15 @@ def summary(values):
 
 
 def read_side(root: Path) -> dict:
-    records = [json.loads(p.read_text())
-               for p in sorted((root / ".bench_out" / "results").glob("*.json"))]
+    results = root / ".bench_out" / "results"
+    records = [json.loads(p.read_text()) for p in sorted(results.glob("*.json"))]
     if not records:
-        raise SystemExit(f"no perfbench results under {root / '.bench_out' / 'results'}")
+        raise SystemExit(f"no perfbench results under {results}")
+    # one side is one source tree: runs of other trees must not be paired
+    trees = Counter(rec["environment"]["source_sha256"] for rec in records)
+    if len(trees) > 1:
+        raise SystemExit(f"results of {len(trees)} source trees under {results}: " + ", ".join(
+            f"source_sha256 {sha} in {count} files" for sha, count in sorted(trees.items())))
     env = records[0]["environment"]
     side = {key: env[key] for key in ("commit", "source_sha256", "nproc", "python", "numpy")}
     workloads = {}
