@@ -12,7 +12,13 @@ from .states import (
     integrate,
     oscillating_profile,
 )
-from .energy import EnergyReport, evaluate, evaluate_quadrature, rect_integral
+from .energy import (
+    EnergyReport,
+    evaluate,
+    evaluate_potentials,
+    evaluate_quadrature,
+    rect_integral,
+)
 from .cell import (
     CellKernelMatrix,
     CellProfile,

@@ -33,11 +33,14 @@ correctness.
   (+1 at right ends, -1 at left ends of its intervals) and ``S_l`` its total
   length, ``E = abar sum_lm w_lm S_l S_m - eps^2 sum_lm w_lm D^l . F^m`` with
   ``g = B_per``, the periodic part of the weight's second antiderivative.
+  ``F`` and the products ``D^l . F^m`` do not depend on the potential, which
+  enters only through the level weights ``w``: one call takes a stack of
+  weight matrices and serves them all with one circle sum.
 - ``quadrature_energy`` (oracle): the midpoint sum with ``g = a`` itself and
   ``c`` the cell lengths of each level; it never reads the ``B_per`` table.
 
 The L^2 level-pair terms are added with ``math.fsum``, so the result does not
-depend on the order of the levels.
+depend on the order of the levels, nor on the other matrices of a stack.
 
 ``brute_force_search`` scores one k-subset per rotation class of the cell
 grid, streamed in blocks by ``necklace_gaps`` in lexicographic order, so its
@@ -122,14 +125,18 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
     return out
 
 
-def _level_pair_sum(wl, c, F, scale):
-    """The terms scale * wl[l, m] * (c[l] . F[m]) of the nonzero weights."""
-    L = wl.shape[0]
+def _level_pair_terms(wls, c, F, scale):
+    """For each matrix w of the stack ``wls``, the terms
+    scale * w[l, m] * (c[l] . F[m]) of its nonzero weights; each product
+    c[l] . F[m] is taken once for the whole stack."""
+    L = wls.shape[1]
+    used = np.any(wls != 0.0, axis=0)
+    dots = {
+        (l, m): float(np.sum(c[l] * F[m])) for l in range(L) for m in range(L) if used[l, m]
+    }
     return [
-        scale * wl[l, m] * float(np.sum(c[l] * F[m]))
-        for l in range(L)
-        for m in range(L)
-        if wl[l, m] != 0.0
+        [scale * w[l, m] * dots[l, m] for l in range(L) for m in range(L) if w[l, m] != 0.0]
+        for w in wls
     ]
 
 
@@ -138,17 +145,20 @@ def _level_pair_sum(wl, c, F, scale):
 # ---------------------------------------------------------------------------
 
 def pair_energy(endpoints, lengths, level_idx, wl, kbp, q0, q1, q2, abar, eps):
-    """Exact rectangle sum; ``level_idx`` maps each interval to a row/column
-    of the small level weight matrix ``wl``."""
-    L = wl.shape[0]
+    """Exact rectangle sums, one for each finite level weight matrix of the
+    stack ``wl`` (shape (K, L, L)); ``level_idx`` maps each interval to a
+    row/column of them. Returns the K energies."""
+    L = wl.shape[1]
     P = lengths.shape[0]
     D = np.zeros((L, P + 1))
     D[level_idx, np.arange(P)] = -1.0
     D[level_idx, np.arange(1, P + 1)] += 1.0
     S = np.bincount(level_idx, weights=lengths, minlength=L)
     F = circle_field(phases(endpoints, eps), D, kbp, q0, q1, q2)
-    area = [abar * wl[l, m] * S[l] * S[m] for l in range(L) for m in range(L)]
-    return math.fsum(area + _level_pair_sum(wl, D, F, -eps * eps))
+    return [
+        math.fsum([abar * w[l, m] * S[l] * S[m] for l in range(L) for m in range(L)] + terms)
+        for w, terms in zip(wl, _level_pair_terms(wl, D, F, -eps * eps))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,7 @@ def quadrature_energy(centers, lengths, iu, w, kbp, kvals, eps):
     c = np.zeros((L, lengths.shape[0]))
     c[iu, np.arange(lengths.shape[0])] = lengths
     F = circle_field(phases(centers, eps), c, kbp, kvals)
-    return math.fsum(_level_pair_sum(w, c, F, 1.0))
+    return math.fsum(_level_pair_terms(w[None], c, F, 1.0)[0])
 
 
 # ---------------------------------------------------------------------------

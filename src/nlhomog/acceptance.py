@@ -23,7 +23,7 @@ from .cell import (
     is_cyclic_arc,
     optimal_profile,
 )
-from .energy import evaluate, evaluate_quadrature
+from .energy import evaluate, evaluate_potentials, evaluate_quadrature
 from .gammalab import (
     DEFAULT_DIFFERENCE_TOL,
     DEFAULT_EPS_GRID,
@@ -281,12 +281,13 @@ def criterion_8_capped_potential(pmap: Optional[Callable] = None, **_) -> Criter
         StepFunction.constant(0.3),
         StepFunction([0.0, 0.5], [1.0, 0.0]),
     ]
+    # the uncapped potential first, then every cap: one circle sum per profile
+    pots = [TripleWellPotential()] + [TripleWellPotential(cap=M) for M in DEFAULT_M_GRID]
     agree_gap = 0.0
     for u in admissible:
-        ref = evaluate(u, TripleWellPotential(), kern, eps).value
-        for M in DEFAULT_M_GRID:
-            capped = evaluate(u, TripleWellPotential(cap=M), kern, eps).value
-            agree_gap = max(agree_gap, abs(capped - ref))
+        ref, *capped = (r.value for r in evaluate_potentials(u, pots, kern, eps))
+        for value in capped:
+            agree_gap = max(agree_gap, abs(value - ref))
     ok = cert.verdict == "confirmed" and agree_gap <= 1e-12
     return CriterionResult(
         cid=8,

@@ -287,13 +287,15 @@ def rotation_classes(n: int, k: int) -> int:
 def enumeration_size(n: int, k_ones: int) -> int:
     """C(n, k_ones), the subsets an all-subsets search covers; raises
     ResourceLimitError when the rotation classes it scores, one per class,
-    exceed BRUTE_FORCE_CAP."""
+    exceed BRUTE_FORCE_CAP. The message gives both counts as powers of two,
+    which stay short however many digits the counts have."""
     n_comb = math.comb(n, k_ones)
     classes = rotation_classes(n, k_ones)
     if classes > BRUTE_FORCE_CAP:
         raise ResourceLimitError(
-            f"solve_brute_force: C({n},{k_ones}) = {n_comb} subsets in {classes} "
-            f"rotation classes exceed the enumeration cap {BRUTE_FORCE_CAP}"
+            f"solve_brute_force: C({n},{k_ones}) ~ 2^{math.log2(n_comb):.1f} subsets in "
+            f"~ 2^{math.log2(classes):.1f} rotation classes exceed the enumeration cap "
+            f"{BRUTE_FORCE_CAP}"
         )
     return n_comb
 

@@ -19,7 +19,11 @@ antiderivative values), so no precision is lost at small eps. B_per is
 endpoint phases e/eps mod 1; ``_accel.pair_energy`` sums them as a field on
 the circle in O(P log P) (its module docstring has the algebra), and
 ``rect_integral`` keeps the single-rectangle formula as the O(P^2) oracle of
-the tests. A midpoint tensor quadrature on a grid refined to the breakpoints
+the tests. The circle sum depends on u, the weight and eps but not on the
+potential f, which enters only through the L x L matrix of level weights
+f(level_l - level_m): ``evaluate_potentials`` scores one u against several
+potentials with one circle sum, and ``evaluate`` is its one-potential case.
+A midpoint tensor quadrature on a grid refined to the breakpoints
 of u serves as an independent oracle; it uses the same circle sum with the
 weight a itself and never touches B_per.
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -92,10 +97,43 @@ def _check_eps(eps: float) -> None:
         raise ArgumentRangeError("1/eps exceeds the periodic reduction range")
 
 
-def _level_structure(u: StepFunction, p: TripleWellPotential, tol: float):
+def _level_structure(u: StepFunction, pots, tol: float):
+    """The level weight matrices of u under each potential, stacked as
+    (len(pots), L, L), and the level of each interval."""
     levels, level_idx = np.unique(u.values, return_inverse=True)
-    wl = p.value(levels[:, None] - levels[None, :], tol)
-    return wl, level_idx.astype(np.int64)
+    diff = levels[:, None] - levels[None, :]
+    wls = np.array([p.value(diff, tol) for p in pots]).reshape(len(pots), levels.size, levels.size)
+    return wls, level_idx.astype(np.int64)
+
+
+def evaluate_potentials(
+    u: StepFunction,
+    pots: Sequence[TripleWellPotential],
+    k: PeriodicStepKernel,
+    eps: float,
+    value_tol: float = DEFAULT_VALUE_TOL,
+) -> List[EnergyReport]:
+    """Exact energy of u under each potential of ``pots``, in order, from one
+    circle sum. An energy is infinite iff some increment leaves the wells
+    under that potential; every interval pair has positive area, so any
+    infinite weight short-circuits to +inf before touching arithmetic, and
+    when every potential does, no circle sum runs."""
+    _check_eps(eps)
+    P = u.values.shape[0]
+    if P > util.MAX_INTERVALS:
+        raise ResourceLimitError(f"evaluate: {P} intervals exceed the cap {util.MAX_INTERVALS}")
+    wls, level_idx = _level_structure(u, pots, value_tol)
+    # every level occurs on some interval, so an infinite entry anywhere in
+    # a level matrix is hit by a positive-area pair
+    finite = ~np.any(np.isinf(wls), axis=(1, 2))
+    values = np.full(len(pots), math.inf)
+    if np.any(finite):
+        t = k.table
+        values[finite] = _accel.pair_energy(
+            u.endpoints, u.lengths, level_idx, wls[finite], k.breakpoints,
+            t.q0, t.q1, t.q2, t.mean, eps,
+        )
+    return [EnergyReport(value=v, method="exact", eps=eps, bound=0.0) for v in values.tolist()]
 
 
 def evaluate(
@@ -105,23 +143,8 @@ def evaluate(
     eps: float,
     value_tol: float = DEFAULT_VALUE_TOL,
 ) -> EnergyReport:
-    """Exact energy. Infinite iff some increment leaves the wells under the
-    uncapped potential; every interval pair has positive area, so any infinite
-    weight short-circuits to +inf before touching arithmetic."""
-    _check_eps(eps)
-    P = u.values.shape[0]
-    if P > util.MAX_INTERVALS:
-        raise ResourceLimitError(f"evaluate: {P} intervals exceed the cap {util.MAX_INTERVALS}")
-    wl, level_idx = _level_structure(u, p, value_tol)
-    # every level occurs on some interval, so an infinite entry anywhere in
-    # the level matrix is hit by a positive-area pair
-    if np.any(np.isinf(wl)):
-        return EnergyReport(value=math.inf, method="exact", eps=eps, bound=0.0)
-    t = k.table
-    val = _accel.pair_energy(
-        u.endpoints, u.lengths, level_idx, wl, k.breakpoints, t.q0, t.q1, t.q2, t.mean, eps
-    )
-    return EnergyReport(value=float(val), method="exact", eps=eps, bound=0.0)
+    """Exact energy of u under one potential; see ``evaluate_potentials``."""
+    return evaluate_potentials(u, [p], k, eps, value_tol)[0]
 
 
 def evaluate_quadrature(
@@ -155,7 +178,7 @@ def evaluate_quadrature(
             f"evaluate_quadrature: up to {cells} grid cells (n = {n}) exceed the cap "
             f"{util.MAX_INTERVALS}"
         )
-    wl, level_idx = _level_structure(u, p, value_tol)
+    (wl,), level_idx = _level_structure(u, [p], value_tol)
     if np.any(np.isinf(wl)):
         raise ValueError("quadrature needs a finite potential or an admissible u")
     edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, n + 1), u.breakpoints]))

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .cell import gamma_closed_form, optimal_profile
-from .energy import evaluate
+from .energy import evaluate, evaluate_potentials
 from .kernel import PeriodicStepFunction, lambda_weight_mean, make_lambda_kernel
 from .states import StepFunction, TripleWellPotential, oscillating_profile
 from .util import serial_map
@@ -314,7 +314,11 @@ def fM_threshold_experiment(
 
     Deviations with increments outside {-1, 0, 1} forfeit the zero-cost
     wells, so they are expected to lose once the cap is large enough; the
-    experiment measures the empirical threshold over the given grid.
+    experiment measures the empirical threshold over the given grid. The cap
+    enters only the level weights, so each profile is scored against the
+    whole grid with one circle sum (``evaluate_potentials``), and ``pmap``
+    maps over the profiles: 1 + len(DEVIATION_PROFILES) circle sums for any
+    grid.
     """
     pmap = pmap or serial_map
     # every cap is checked before any energy is computed
@@ -323,15 +327,19 @@ def fM_threshold_experiment(
     u_opt = oscillating_profile(-0.5, optimal_profile(0.5), eps)
     e_opt = evaluate(u_opt, TripleWellPotential(), kern, eps).value
 
-    def row(pot):
-        energies = [evaluate(u, pot, kern, eps).value for u in DEVIATION_PROFILES]
-        return {
+    def energies(u):
+        return [r.value for r in evaluate_potentials(u, pots, kern, eps)]
+
+    # one list per profile, turned into one list per cap
+    by_cap = map(list, zip(*pmap(energies, DEVIATION_PROFILES)))
+    rows = [
+        {
             "M": float(pot.cap),
             "deviation_energies": energies,
             "all_strictly_worse": bool(all(e > e_opt for e in energies)),
         }
-
-    rows = pmap(row, pots)
+        for pot, energies in zip(pots, by_cap)
+    ]
     threshold = next((r["M"] for r in rows if r["all_strictly_worse"]), None)
     payload = {
         "eps": eps,

@@ -36,7 +36,7 @@ def _random_inv_eps(rng):
 
 def _rect_sum(u, p, k, eps):
     """O(P^2) oracle: exact rectangle integral of every interval pair."""
-    wl, level_idx = _level_structure(u, p, 1e-12)
+    (wl,), level_idx = _level_structure(u, [p], 1e-12)
     ends = u.endpoints
     terms = []
     for i in range(u.values.size):
@@ -47,8 +47,8 @@ def _rect_sum(u, p, k, eps):
     return math.fsum(terms)
 
 
-def _pair_args(u, p, k, eps):
-    wl, level_idx = _level_structure(u, p, 1e-12)
+def _pair_args(u, pots, k, eps):
+    wl, level_idx = _level_structure(u, pots, 1e-12)
     t = k.table
     return (u.endpoints, u.lengths, level_idx, wl, k.breakpoints, t.q0, t.q1, t.q2, t.mean, eps)
 
@@ -65,11 +65,12 @@ class TestPairEnergyOracle:
             bp = bp[np.concatenate([[True], np.diff(bp) > 0])]
             z = float(rng.uniform(-1.0, 1.0))
             u = StepFunction(bp, z + rng.choice(levels[:L], bp.size))
-            p = TripleWellPotential(cap=float(rng.uniform(1.0, 20.0)))
+            pots = [TripleWellPotential(cap=float(c)) for c in rng.uniform(1.0, 20.0, 2)]
             eps = 1.0 / _random_inv_eps(rng)
-            fast = _accel.pair_energy(*_pair_args(u, p, k, eps))
-            oracle = _rect_sum(u, p, k, eps)
-            assert abs(fast - oracle) <= 1e-13 * abs(oracle), (case, fast, oracle)
+            # one call scores the stack of both caps' level weight matrices
+            for fast, p in zip(_accel.pair_energy(*_pair_args(u, pots, k, eps)), pots):
+                oracle = _rect_sum(u, p, k, eps)
+                assert abs(fast - oracle) <= 1e-13 * abs(oracle), (case, fast, oracle)
 
 
 def _direct_quadrature(centers, lengths, iu, w, k, eps):
@@ -125,7 +126,7 @@ class TestQuadratureOracle:
         t = (centers[:, None] - centers[None, :]) / eps
         frac = t - np.floor(t)
         assert np.count_nonzero(np.isclose(frac, 0.25, rtol=0.0, atol=1e-9)) > 0
-        wl, level_idx = _level_structure(u, p, 1e-12)
+        (wl,), level_idx = _level_structure(u, [p], 1e-12)
         iu = level_idx[np.searchsorted(u.breakpoints, centers, side="right") - 1]
         direct = _direct_quadrature(centers, lengths, iu, wl, k, eps)
         assert abs(quad.value - exact) <= quad.bound
@@ -170,7 +171,7 @@ class TestRepeatedPhases:
                     assert u.values.size <= 250
                     case = (count, kind, inv_eps)
                     assert _distinct_phases(u.endpoints, eps) < u.endpoints.size, case
-                    fast = _accel.pair_energy(*_pair_args(u, p, kern, eps))
+                    (fast,) = _accel.pair_energy(*_pair_args(u, [p], kern, eps))
                     oracle = _rect_sum(u, p, kern, eps)
                     assert abs(fast - oracle) <= 1e-13 * abs(oracle), (case, fast, oracle)
 

@@ -7,6 +7,7 @@ import pytest
 
 from nlhomog import StepFunction, TripleWellPotential, evaluate, make_lambda_kernel
 from nlhomog import cli, gammalab, util
+from nlhomog.cell import BRUTE_FORCE_CAP
 from nlhomog.cli import dispatch
 
 
@@ -202,6 +203,9 @@ class TestDefaultConfigs:
         [
             ["cell-verify", "--n", "40"],
             ["cell-solve", "--method", "brute_force", "--n", "40", "--k-ones", "20"],
+            # C(n, k) and the class count have over 4300 digits here
+            ["cell-verify", "--n", "40000"],
+            ["cell-solve", "--method", "brute_force", "--n", "20000", "--k-ones", "10000"],
         ],
     )
     def test_enumeration_cap_checked_before_work(self, tmp_path, monkeypatch, capsys, argv):
@@ -210,7 +214,9 @@ class TestDefaultConfigs:
 
         monkeypatch.setattr(cli, "build_cell_matrix", no_work)
         assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 1
-        assert "enumeration cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: solve_brute_force: C(")
+        assert f"exceed the enumeration cap {BRUTE_FORCE_CAP}" in err
         assert not list(tmp_path.iterdir())
 
     BIG_N = util.MAX_INTERVALS + 1
@@ -686,15 +692,16 @@ class TestNonFiniteNumbers:
 
 class TestDeterminism:
     def test_thread_count_does_not_change_report_bytes(self, tmp_path):
-        outs = {}
-        for threads in ("1", "8"):
-            out = tmp_path / f"t{threads}"
-            rc = dispatch(
-                ["gamma-limit", "--eps-grid", "0.125,0.0625,0.03125",
-                 "--seed", "7", "--threads", threads, "--output-dir", str(out)]
-            )
-            assert rc == 0
-            outs[threads] = tuple(
-                (out / name).read_bytes() for name in ("gamma_limit.json", "gamma_limit.csv")
-            )
-        assert outs["1"] == outs["8"]
+        commands = [
+            (["gamma-limit", "--eps-grid", "0.125,0.0625,0.03125", "--seed", "7"], "gamma_limit"),
+            # pmap runs over the deviation profiles, each scored against every cap
+            (["fm-threshold", "--M-grid", "1,1.5,2,3,4,6,8,12,16,24,32,48,64"], "fm_threshold"),
+        ]
+        for argv, stem in commands:
+            outs = {}
+            for threads in ("1", "8"):
+                out = tmp_path / f"{stem}_t{threads}"
+                rc = dispatch(argv + ["--threads", threads, "--output-dir", str(out)])
+                assert rc == 0
+                outs[threads] = [(out / f"{stem}.{ext}").read_bytes() for ext in ("json", "csv")]
+            assert outs["1"] == outs["8"], stem

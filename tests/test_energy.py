@@ -10,15 +10,17 @@ from nlhomog import (
     StepFunction,
     TripleWellPotential,
     evaluate,
+    evaluate_potentials,
     evaluate_quadrature,
+    fM_threshold_experiment,
     integrate,
     make_lambda_kernel,
     optimal_profile,
     oscillating_profile,
     rect_integral,
 )
-from nlhomog import energy, util
-from nlhomog.gammalab import gamma_limit_constant_value
+from nlhomog import _accel, energy, util
+from nlhomog.gammalab import DEFAULT_M_GRID, DEVIATION_PROFILES, gamma_limit_constant_value
 from nlhomog.kernel import PERIODIC_REDUCTION_RANGE
 
 INF_POT = TripleWellPotential()
@@ -284,12 +286,12 @@ class TestEvaluate:
         # level gaps: exact 1, 1 up to rounding, 0.5 (a tie), 1e-13 and 2.5
         u = StepFunction([0.0, 0.2, 0.4, 0.6, 0.8], [0.3, 1.3, 0.8, 0.3 + 1e-13, -0.7])
         levels = np.unique(u.values)
-        for p in (INF_POT, TripleWellPotential(cap=5.0)):
-            for tol in (0.0, 1e-12, 0.5):
-                wl, level_idx = energy._level_structure(u, p, tol)
-                expected = [[p.value(a - b, tol) for b in levels] for a in levels]
-                assert np.array_equal(wl, expected)
-                assert np.array_equal(levels[level_idx], u.values)
+        pots = (INF_POT, TripleWellPotential(cap=5.0))
+        for tol in (0.0, 1e-12, 0.5):
+            wls, level_idx = energy._level_structure(u, pots, tol)
+            expected = [[[p.value(a - b, tol) for b in levels] for a in levels] for p in pots]
+            assert np.array_equal(wls, expected)
+            assert np.array_equal(levels[level_idx], u.values)
 
     def test_interval_cap_names_stage_and_size(self, monkeypatch):
         k = make_lambda_kernel(1.0, 2.0, 0.5)
@@ -368,6 +370,82 @@ class TestAdmissibility:
         oracle = c * float(u.lengths @ w @ u.lengths)
         val = evaluate(u, TripleWellPotential(cap=M), k, 0.3).value
         assert val == pytest.approx(oracle, abs=1e-14)
+
+
+class TestSharedCircleSum:
+    """``evaluate_potentials`` scores one u against several potentials with
+    one circle sum; every report equals that of ``evaluate`` bit for bit."""
+
+    WEIGHTS = ((1.0, 2.0, 0.5), (2.5, 0.7, 0.3), (0.6, 2.9, 0.77))
+
+    def test_deviation_profiles_match_one_potential_at_a_time(self):
+        # the uncapped potential makes every deviation infinite, the caps finite
+        pots = [INF_POT] + [TripleWellPotential(cap=M) for M in DEFAULT_M_GRID]
+        for weight in self.WEIGHTS:
+            k = make_lambda_kernel(*weight)
+            for eps in (1.0 / 32.0, 0.07):
+                for u in DEVIATION_PROFILES:
+                    reports = evaluate_potentials(u, pots, k, eps)
+                    assert reports == [evaluate(u, p, k, eps) for p in pots], (weight, eps)
+                    assert reports[0].value == math.inf
+                    assert all(math.isfinite(r.value) for r in reports[1:])
+
+    def test_random_profiles_kernels_and_caps_match_one_potential_at_a_time(self):
+        rng = np.random.default_rng(20261019)
+        offsets = np.array([0.0, 1.0, -1.0, 0.5, 2.0])
+        mixed = 0
+        for case in range(200):
+            inner = np.unique(np.round(rng.uniform(0.05, 0.95, rng.integers(0, 4)), 3))
+            bp = np.concatenate([[0.0], inner])
+            k = PeriodicStepKernel(bp, rng.uniform(0.5, 3.0, bp.size))
+            ends = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 1.0, rng.integers(0, 30))]))
+            # offsets 0 and +-1 keep u admissible; 0.5 and 2 usually do not
+            L = int(rng.integers(1, offsets.size + 1))
+            z = float(rng.uniform(-1.0, 1.0))
+            u = StepFunction(ends, z + rng.choice(offsets[:L], ends.size))
+            caps = rng.uniform(1.0, 50.0, rng.integers(0, 6))
+            pots = [TripleWellPotential(cap=float(c)) for c in caps]
+            pots.insert(int(rng.integers(0, len(pots) + 1)), INF_POT)
+            eps = 1.0 / float(rng.uniform(1.0, 500.0))
+            reports = evaluate_potentials(u, pots, k, eps)
+            assert reports == [evaluate(u, p, k, eps) for p in pots], case
+            finite = [math.isfinite(r.value) for r in reports]
+            mixed += any(finite) and not all(finite)
+        assert mixed > 20  # inf and finite reports from one call
+
+    def test_only_infinite_potentials_run_no_circle_sum(self, monkeypatch):
+        def no_circle_sum(*args, **kwargs):
+            raise AssertionError("circle sum run for infinite energies")
+
+        monkeypatch.setattr(_accel, "circle_field", no_circle_sum)
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        u = DEVIATION_PROFILES[0]
+        reports = evaluate_potentials(u, [INF_POT, INF_POT], k, 0.1)
+        assert [r.value for r in reports] == [math.inf] * 2
+        assert evaluate_potentials(u, [], k, 0.1) == []
+        assert evaluate(u, INF_POT, k, 0.1).value == math.inf
+
+    @pytest.mark.parametrize("M_grid", [(3.0,), DEFAULT_M_GRID, tuple(1.0 + 0.75 * np.arange(40))])
+    def test_fM_threshold_runs_one_circle_sum_per_profile(self, monkeypatch, M_grid):
+        calls = []
+        circle_field = _accel.circle_field
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return circle_field(*args, **kwargs)
+
+        monkeypatch.setattr(_accel, "circle_field", counted)
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=0.125, M_grid=M_grid)
+        assert len(calls) == 1 + len(DEVIATION_PROFILES)
+        monkeypatch.setattr(_accel, "circle_field", circle_field)
+        rows = cert.payload["rows"]
+        assert [r["M"] for r in rows] == list(M_grid)
+        for row in rows:
+            pot = TripleWellPotential(cap=row["M"])
+            assert row["deviation_energies"] == [
+                evaluate(u, pot, k, 0.125).value for u in DEVIATION_PROFILES
+            ]
 
 
 class TestErrorBudget:
