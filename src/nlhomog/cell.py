@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _accel
+from . import _accel, util
 from .energy import rect_integral
 from .kernel import PeriodicStepKernel, check_lambda_parameters, lambda_weight_mean
 from .states import Arc
@@ -141,9 +141,19 @@ class CellKernelMatrix:
         return np.fft.ifft(self.conj_spectrum * np.fft.fft(x)).real
 
 
+def check_cell_count(n: int) -> None:
+    """Refuse a grid of more than ``util.MAX_INTERVALS`` cells, the cap of
+    ``build_cell_matrix``; the CLI checks it before its enumeration caps."""
+    if n > util.MAX_INTERVALS:
+        raise ResourceLimitError(f"build_cell_matrix: {n} cells exceed the cap {util.MAX_INTERVALS}")
+
+
 def build_cell_matrix(k: PeriodicStepKernel, n: int) -> CellKernelMatrix:
+    """The n-cell matrix of the weight k, one ``rect_integral`` per entry of
+    the first row; an over-cap n is refused before any entry is computed."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    check_cell_count(n)
     row = np.array(
         [n * n * rect_integral(k, 1.0, 0.0, 1.0 / n, j / n, (j + 1) / n) for j in range(n)]
     )

@@ -28,6 +28,7 @@ from . import acceptance, util
 from .cell import (
     BRUTE_FORCE_CAP,
     build_cell_matrix,
+    check_cell_count,
     compare_with_arcs,
     enumeration_size,
     gamma_closed_form,
@@ -267,8 +268,7 @@ def _cell_matrix(cfg, subset_sizes=()):
     """The config's cell matrix, built only after the caps pass: n cells, every
     all-subsets search (k_ones, or each of subset_sizes), arcs-only k_ones^2."""
     n, k, mode = cfg["n"], cfg.get("k_ones"), cfg.get("mode")
-    if n > util.MAX_INTERVALS:
-        raise ResourceLimitError(f"build_cell_matrix: {n} cells exceed the cap {util.MAX_INTERVALS}")
+    check_cell_count(n)
     if mode == "arcs_only" and k * k > BRUTE_FORCE_CAP:
         raise ResourceLimitError(f"solve_brute_force: an arc of k_ones = {k} cells sums {k * k} "
                                  f"offsets, over the cap {BRUTE_FORCE_CAP}")

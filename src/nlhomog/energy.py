@@ -17,15 +17,18 @@ The mean*area term is computed directly (never as a difference of large
 antiderivative values), so no precision is lost at small eps. B_per is
 1-periodic, so the corner terms of all P^2 rectangles depend only on the
 endpoint phases e/eps mod 1; ``_accel.pair_energy`` sums them as a field on
-the circle in O(P log P) (its module docstring has the algebra), and
-``rect_integral`` keeps the single-rectangle formula as the O(P^2) oracle of
-the tests. The circle sum depends on u, the weight and eps but not on the
-potential f, which enters only through the L x L matrix of level weights
+the circle in O(P log P) (its module docstring has the algebra).
+``rect_integral`` keeps the single-rectangle formula: it is the O(P^2) oracle
+of the tests, and it fills every entry of ``cell.build_cell_matrix``,
+evaluating B_per at its four corners in Python floats: ~4 us per entry on
+one core of a 2-vCPU VM, where a four-element numpy array costs ~11 us.
+The circle sum depends on u, the weight and eps but not on the potential f,
+which enters only through the L x L matrix of level weights
 f(level_l - level_m): ``evaluate_potentials`` scores one u against several
 potentials with one circle sum, and ``evaluate`` is its one-potential case.
-A midpoint tensor quadrature on a grid refined to the breakpoints
-of u serves as an independent oracle; it uses the same circle sum with the
-weight a itself and never touches B_per.
+A midpoint tensor quadrature on a grid refined to the breakpoints of u
+serves as an independent oracle; it uses the same circle sum with the weight
+a itself and never touches B_per.
 
 Error budget, measured with the two-arc recovery profile (u = z + chi, 2/eps
 + 1 intervals), whose exact energy on whole-period grids is the limit value
@@ -49,6 +52,7 @@ quadrature grid, admits it and 1/eps = 2^20.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 from typing import List, Sequence
@@ -80,12 +84,22 @@ def rect_integral(
         raise ValueError("degenerate rectangle")
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive")
-    # the corners as Python floats: the same roundings as an array divided by
-    # eps, checked before any array is built
+    # the corners as Python floats: the same roundings as an array divided by eps
     corners = ((x1 - y0) / eps, (x1 - y1) / eps, (x0 - y0) / eps, (x0 - y1) / eps)
     if max(map(abs, corners)) > PERIODIC_REDUCTION_RANGE:
         raise ArgumentRangeError("corner argument exceeds the periodic reduction range")
-    p = k.periodic_part(np.array(corners))
+    # B_per at each corner in Python floats, with the IEEE operations of
+    # ``periodic_part`` in its order: bisect_right over bp from index 1 is
+    # ``segment_index``, so every entry is bit-identical to the array path
+    bp = k.breakpoints.tolist()
+    t = k.table
+    q0, q1, q2 = t.q0.tolist(), t.q1.tolist(), t.q2.tolist()
+    p = []
+    for c in corners:
+        u = c - math.floor(c)
+        i = bisect.bisect_right(bp, u, 1) - 1
+        du = u - bp[i]
+        p.append(q0[i] + du * (q1[i] + du * q2[i]))
     per = p[0] - p[1] - p[2] + p[3]
     return float(k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per)
 

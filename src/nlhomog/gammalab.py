@@ -124,6 +124,8 @@ def _energy_study(profile_of_eps, alpha, beta, lam, eps_grid, limit_ref, pmap):
     the (alpha, beta, lam) weight, one per eps, as a study against limit_ref.
     The grid is checked before any energy is computed."""
     eps_grid = [float(e) for e in eps_grid]
+    if not eps_grid:
+        raise ValueError("eps_grid must not be empty")
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing")
     pmap = pmap or serial_map

@@ -83,7 +83,10 @@ class PeriodicStepFunction(StepFunction):
         The antiderivative of f is mean*t + b1 + S(t) with S = B_per' bounded
         and 1-periodic, so each integral is mean*(x1 - x0) plus eps times a
         difference of S values: nothing grows with 1/eps and nothing cancels.
+        eps must be positive and finite.
         """
+        if not 0.0 < eps < np.inf:
+            raise ValueError("eps must be positive")
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(x1, dtype=float)
         reach = max(np.abs(x0).max(initial=0.0), np.abs(x1).max(initial=0.0))

@@ -17,7 +17,7 @@ from nlhomog import (
     solve_brute_force,
     solve_relaxed,
 )
-from nlhomog import cell
+from nlhomog import cell, util
 from nlhomog.cell import CellKernelMatrix, _spectral_norm, is_cyclic_arc
 
 
@@ -119,6 +119,23 @@ class TestOptimalProfile:
 
 
 class TestCellMatrix:
+    def test_over_cap_grid_refused_before_any_entry(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("entry computed before the cap check")
+
+        monkeypatch.setattr(cell, "rect_integral", no_work)
+        n = util.MAX_INTERVALS + 1
+        with pytest.raises(ResourceLimitError) as err:
+            build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), n)
+        assert str(err.value) == f"build_cell_matrix: {n} cells exceed the cap {util.MAX_INTERVALS}"
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        monkeypatch.setattr(util, "MAX_INTERVALS", 16)
+        assert build_cell_matrix(k, 16).n == 16
+        with pytest.raises(ResourceLimitError, match=r"^build_cell_matrix: 17 cells exceed the cap 16$"):
+            build_cell_matrix(k, 17)
+
     def test_constant_kernel_entries(self):
         K = build_cell_matrix(PeriodicStepKernel([0.0], [1.7]), 8)
         assert np.allclose(K.first_row, 1.7, atol=1e-14)

@@ -9,6 +9,7 @@ from nlhomog import (
     ResourceLimitError,
     StepFunction,
     TripleWellPotential,
+    build_cell_matrix,
     evaluate,
     evaluate_potentials,
     evaluate_quadrature,
@@ -190,6 +191,31 @@ class TestExactEntryOracle:
             y1 = y0 + float(rng.uniform(1e-6, 2.0)) * scale
             raised += _same_outcome(rect_integral, _rect_integral_oracle, k, eps, x0, x1, y0, y1)
         assert 0 < raised < 3000  # both outcomes are exercised
+        # each corner in turn lands on a breakpoint phase, one ulp either side
+        # of it, or reduces to u = 1.0; eps is a power of two, so c*eps/eps == c
+        for _ in range(100):
+            k = _random_kernel(rng)
+            ends = np.append(k.breakpoints, 1.0) + rng.integers(-5, 6, k.breakpoints.size + 1)
+            phases = np.concatenate([ends, np.nextafter(ends, np.inf),
+                                     np.nextafter(ends, -np.inf), [-1e-20]])
+            for c in phases.tolist():
+                for eps in (1.0, 2.0**-10):
+                    ce = c * eps
+                    w, h = (float(v) * eps for v in rng.uniform(1e-3, 1.5, 2))
+                    for rect in ((ce - w, ce, 0.0, h), (ce - w, ce, -h, 0.0),
+                                 (ce, ce + w, 0.0, h), (ce, ce + w, -h, 0.0)):
+                        assert not _same_outcome(rect_integral, _rect_integral_oracle, k, eps, *rect)
+
+    @pytest.mark.parametrize("n", [8, 20, 256, 4096])
+    def test_cell_matrix_row_matches_oracle_bit_for_bit(self, n):
+        # the jumps of the first kernel, at 1/4 and 3/4, fall on the n = 8 grid
+        rng = np.random.default_rng(n)
+        kernels = [make_lambda_kernel(1.0, 2.0, 0.5)] + [_random_kernel(rng) for _ in range(3)]
+        for k in kernels:
+            row = build_cell_matrix(k, n).first_row.tolist()
+            for j, got in enumerate(row):
+                want = n * n * _rect_integral_oracle(k, 1.0, 0.0, 1.0 / n, j / n, (j + 1) / n)
+                assert got == want, (n, j)
 
     def test_range_check_just_inside_and_outside(self):
         # the largest corner steps across PERIODIC_REDUCTION_RANGE ulp by ulp,

@@ -83,6 +83,11 @@ class TestRecoveryStudy:
         with pytest.raises(ValueError):
             run_recovery_study(0.0, 1.0, 2.0, 0.5, [0.1, 0.2])
 
+    @pytest.mark.parametrize("study", [run_recovery_study, run_flat_study, run_step_study])
+    def test_empty_eps_grid_refused(self, study):
+        with pytest.raises(ValueError, match="eps_grid"):
+            study(0.5, 1.0, 2.0, 0.5, [])
+
     def test_machine_exact_studies_skip_rate_fit(self):
         st = run_recovery_study(0.0, 1.0, 2.0, 0.5, EPS_GRID)
         assert st.fitted_rate is None

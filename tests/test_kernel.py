@@ -200,6 +200,14 @@ class TestPeriodicIntegral:
         assert f.integral(0.0, 1.0, 1.0) == pytest.approx(0.35, abs=1e-15)
         assert f.integral(0.0, 1.0, 1.0 / 1.5e6) == pytest.approx(0.35, abs=1e-15)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_bad_eps_refused(self, eps):
+        # the message tells this refusal from the range check's ArgumentRangeError,
+        # also a ValueError, which eps = 0 would otherwise reach
+        f = PeriodicStepFunction([0.0, 0.3], [1.0, -2.0])
+        with pytest.raises(ValueError, match=r"^eps must be positive$"):
+            f.integral(0.0, 0.5, eps)
+
     def test_argument_range_guard(self):
         f = PeriodicStepFunction([0.0, 0.3], [1.0, -2.0])
         with pytest.raises(ArgumentRangeError):
