@@ -17,7 +17,10 @@ sit in the cheap band, and the exhaustive search returns strictly smaller
 energies than any arc. The closed form then still reports the best-arc
 energy, which is exactly what the arcs-only search converges to. The
 exhaustive search scores one subset per rotation class, so its cap
-``BRUTE_FORCE_CAP`` counts rotation classes, not subsets.
+``BRUTE_FORCE_CAP`` counts rotation classes, not subsets. Every limit of a
+search (cell count, k_ones range, mode, both caps) is decided by
+``enumeration_size`` alone; ``solve_brute_force`` and the CLI call it before
+any work.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .kernel import PeriodicStepKernel, check_lambda_parameters, lambda_weight_m
 from .states import Arc
 from .util import ResourceLimitError
 
-BRUTE_FORCE_CAP = 10_000_000  # all-subsets rotation classes; the CLI caps arcs-only k_ones^2 too
+BRUTE_FORCE_CAP = 10_000_000  # all-subsets rotation classes, arcs-only k_ones^2 offsets
 RELAXED_TOL = 1e-12  # solve_relaxed: largest change of one step
 RELAXED_MAX_ITER = 5000
 
@@ -142,17 +145,17 @@ class CellKernelMatrix:
 
 
 def check_cell_count(n: int) -> None:
-    """Refuse a grid of more than ``util.MAX_INTERVALS`` cells, the cap of
-    ``build_cell_matrix``; the CLI checks it before its enumeration caps."""
+    """Refuse a grid of fewer than 2 or more than ``util.MAX_INTERVALS``
+    cells, the limits of ``build_cell_matrix`` and ``enumeration_size``."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if n > util.MAX_INTERVALS:
         raise ResourceLimitError(f"build_cell_matrix: {n} cells exceed the cap {util.MAX_INTERVALS}")
 
 
 def build_cell_matrix(k: PeriodicStepKernel, n: int) -> CellKernelMatrix:
     """The n-cell matrix of the weight k, one ``rect_integral`` per entry of
-    the first row; an over-cap n is refused before any entry is computed."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    the first row; an out-of-range n is refused before any entry is computed."""
     check_cell_count(n)
     row = np.array(
         [n * n * rect_integral(k, 1.0, 0.0, 1.0 / n, j / n, (j + 1) / n) for j in range(n)]
@@ -287,27 +290,58 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
 
 def rotation_classes(n: int, k: int) -> int:
     """Rotation classes of the k-subsets of Z_n, by Burnside's lemma:
-    (1/n) * sum over d | gcd(n, k) of phi(d) * C(n/d, k/d)."""
+    (1/n) * sum over d | gcd(n, k) of phi(d) * C(n/d, k/d); 1 for k in {0, n}."""
+    if k in (0, n):
+        return 1
     g = math.gcd(n, k)
     divisors = [d for d in range(1, g + 1) if g % d == 0]
     phi = [sum(math.gcd(j, d) == 1 for j in range(1, d + 1)) for d in divisors]
     return sum(p * math.comb(n // d, k // d) for p, d in zip(phi, divisors)) // n
 
 
-def enumeration_size(n: int, k_ones: int) -> int:
-    """C(n, k_ones), the subsets an all-subsets search covers; raises
-    ResourceLimitError when the rotation classes it scores, one per class,
-    exceed BRUTE_FORCE_CAP. The message gives both counts as powers of two,
-    which stay short however many digits the counts have."""
-    n_comb = math.comb(n, k_ones)
-    classes = rotation_classes(n, k_ones)
-    if classes > BRUTE_FORCE_CAP:
-        raise ResourceLimitError(
-            f"solve_brute_force: C({n},{k_ones}) ~ 2^{math.log2(n_comb):.1f} subsets in "
-            f"~ 2^{math.log2(classes):.1f} rotation classes exceed the enumeration cap "
-            f"{BRUTE_FORCE_CAP}"
-        )
-    return n_comb
+def enumeration_size(n: int, k_ones: int, mode: str = "all_subsets") -> int:
+    """The subsets a search of mode over n cells covers: C(n, k_ones) for
+    "all_subsets", the n arcs (1 when k_ones is 0) for "arcs_only". The one
+    place that decides a search's limits.
+
+    Refuses an n outside [2, ``util.MAX_INTERVALS``] by ``check_cell_count``;
+    with ValueError a k_ones outside [0, n] and an unknown mode; with
+    ResourceLimitError k_ones^2 arc offsets, or all-subsets rotation classes
+    (one is scored per class), above ``BRUTE_FORCE_CAP``. The all-subsets
+    message gives both counts as powers of two, short however many digits
+    they have. A class holds at most n subsets, so C(n, k_ones)/n bounds the
+    class count below; when that bound, from ``math.lgamma``, is above twice
+    the cap, the search is refused without the exact counts, and the message
+    gives the bound rounded up to 0.1 in the exponent, which never reads
+    below the exact count's rounded exponent.
+    """
+    check_cell_count(n)
+    if not 0 <= k_ones <= n:
+        raise ValueError("k_ones must lie in [0, n]")
+    if mode == "arcs_only":
+        if k_ones * k_ones > BRUTE_FORCE_CAP:
+            raise ResourceLimitError(f"solve_brute_force: an arc of k_ones = {k_ones} cells sums "
+                                     f"{k_ones * k_ones} offsets, over the cap {BRUTE_FORCE_CAP}")
+        return n if k_ones else 1
+    if mode != "all_subsets":
+        raise ValueError(f"unknown mode {mode!r}")
+    log2_comb = (
+        math.lgamma(n + 1) - math.lgamma(k_ones + 1) - math.lgamma(n - k_ones + 1)
+    ) / math.log(2.0)
+    log2_classes = log2_comb - math.log2(n)
+    if log2_classes <= math.log2(BRUTE_FORCE_CAP) + 1.0:
+        n_comb = math.comb(n, k_ones)
+        classes = rotation_classes(n, k_ones)
+        if classes <= BRUTE_FORCE_CAP:
+            return n_comb
+        log2_comb, log2_classes = math.log2(n_comb), math.log2(classes)
+    else:
+        log2_classes = math.ceil(10.0 * log2_classes) / 10.0
+    raise ResourceLimitError(
+        f"solve_brute_force: C({n},{k_ones}) ~ 2^{log2_comb:.1f} subsets in "
+        f"~ 2^{log2_classes:.1f} rotation classes exceed the enumeration cap "
+        f"{BRUTE_FORCE_CAP}"
+    )
 
 
 def solve_brute_force(
@@ -315,6 +349,7 @@ def solve_brute_force(
 ) -> CellSolveResult:
     """Exact minimizer over {0,1} profiles with k_ones ones.
 
+    ``enumeration_size`` checks every limit before the search starts.
     mode "all_subsets" covers every k-subset of cells (capped at
     BRUTE_FORCE_CAP rotation classes). The energy is rotation invariant, so
     one subset per rotation class is scored: its lexicographically smallest
@@ -323,28 +358,23 @@ def solve_brute_force(
     lower by more than 1e-12 * max(1, k_ones^2 * max|row|), so near-ties
     keep the subset seen first. Energy and minimizer are those of a scan over all k-subsets
     in lexicographic order; the minimizer is reported in its canonical
-    (smallest) rotation. ``iterations`` is still C(n, k_ones), the number
-    of subsets covered, not the number scored.
-    mode "arcs_only" restricts to contiguous cyclic runs. Every rotation of
-    an arc gives the same offsets (j - i) mod n, hence the same sum, so only
-    the arc at cell 0 is scored; ``iterations`` is n, the arcs covered (1
-    when k_ones is 0).
+    (smallest) rotation. ``iterations`` is C(n, k_ones), the number of
+    subsets covered, not the number scored.
+    mode "arcs_only" restricts to contiguous cyclic runs (capped at
+    BRUTE_FORCE_CAP offsets k_ones^2). Every rotation of an arc gives the
+    same offsets (j - i) mod n, hence the same sum, so only the arc at cell 0
+    is scored; ``iterations`` is n, the arcs covered (1 when k_ones is 0).
     """
     n = K.n
-    if not 0 <= k_ones <= n:
-        raise ValueError("k_ones must lie in [0, n]")
+    iterations = enumeration_size(n, k_ones, mode)
     t = k_ones / n
     row = K.first_row
     if mode == "all_subsets":
         tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
-        iterations = enumeration_size(n, k_ones)
         raw, idx = _accel.brute_force_search(row, n, k_ones, tie_tol)
-    elif mode == "arcs_only":
+    else:
         idx = np.arange(k_ones)
         raw = float(np.sum(row[(idx[None, :] - idx[:, None]) % n]))
-        iterations = n if k_ones else 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     values = np.zeros(n)
     values[idx] = 1.0
     energy = _assemble_energy(K, raw / (n * n), t)

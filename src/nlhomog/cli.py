@@ -26,7 +26,6 @@ import numpy as np
 
 from . import acceptance, util
 from .cell import (
-    BRUTE_FORCE_CAP,
     build_cell_matrix,
     check_cell_count,
     compare_with_arcs,
@@ -52,7 +51,13 @@ from .gammalab import (
     two_scale_pairing,
 )
 from .kernel import PeriodicStepKernel, make_lambda_kernel
-from .states import DEFAULT_VALUE_TOL, StepFunction, TripleWellPotential, oscillating_profile
+from .states import (
+    DEFAULT_VALUE_TOL,
+    StepFunction,
+    TripleWellPotential,
+    check_profile_size,
+    oscillating_profile,
+)
 from .util import ResourceLimitError, dump_json, make_pmap, write_csv
 
 SCHEMA_VERSION = 1
@@ -169,9 +174,6 @@ def _resolve_config(args) -> dict:
         # the exhaustive paths' enumeration must fit the cap
         exhaustive = args.command == "cell-verify" or cfg["method"] == "brute_force"
         cfg["n"] = 16 if exhaustive else 256
-    for key in ("difference_tol", "study_tol", "value_tol"):
-        if key in cfg and cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
     if "quad_n" in cfg and cfg["quad_n"] != 0 and cfg["quad_n"] < 2:
         raise ConfigError("quad_n must be 0 (no quadrature) or >= 2")
     if not 1 <= cfg.get("t_steps", 1) <= util.MAX_INTERVALS:
@@ -231,12 +233,13 @@ def _cmd_energy(cfg, pmap) -> int:
     kern = _kernel_from_config(cfg)
     pot = TripleWellPotential(cap=cfg["cap"] if cfg["potential"] == "capped" else None)
     u = _step_function_from_config(cfg)
+    # the quadrature first: its grid cap refuses before the exact sum runs
+    quad = cfg["quad_n"] and evaluate_quadrature(
+        u, pot, kern, cfg["eps"], n=cfg["quad_n"], value_tol=cfg["value_tol"]
+    )
     rep = evaluate(u, pot, kern, cfg["eps"], value_tol=cfg["value_tol"])
     result = {"exact": rep.to_json()}
-    if cfg["quad_n"]:
-        quad = evaluate_quadrature(
-            u, pot, kern, cfg["eps"], n=cfg["quad_n"], value_tol=cfg["value_tol"]
-        )
+    if quad:
         result["quadrature"] = quad.to_json()
         result["abs_diff"] = abs(rep.value - quad.value)
     path = _emit(cfg, "energy", result, "energy.json")
@@ -264,17 +267,14 @@ def _cmd_gamma_table(cfg, pmap) -> int:
     return 0
 
 
-def _cell_matrix(cfg, subset_sizes=()):
-    """The config's cell matrix, built only after the caps pass: n cells, every
-    all-subsets search (k_ones, or each of subset_sizes), arcs-only k_ones^2."""
-    n, k, mode = cfg["n"], cfg.get("k_ones"), cfg.get("mode")
-    check_cell_count(n)
-    if mode == "arcs_only" and k * k > BRUTE_FORCE_CAP:
-        raise ResourceLimitError(f"solve_brute_force: an arc of k_ones = {k} cells sums {k * k} "
-                                 f"offsets, over the cap {BRUTE_FORCE_CAP}")
-    for size in [k] if mode == "all_subsets" else subset_sizes:
-        enumeration_size(n, size)
-    return build_cell_matrix(_kernel_from_config(cfg), n)
+def _cell_matrix(cfg, searches=()):
+    """The config's n-cell matrix, built only after n and every search of
+    searches, (k_ones, mode) pairs, pass the library's limits. A relaxed
+    solve has no search, so n is checked first, before the kernel is parsed."""
+    check_cell_count(cfg["n"])
+    for k_ones, mode in searches:
+        enumeration_size(cfg["n"], k_ones, mode)
+    return build_cell_matrix(_kernel_from_config(cfg), cfg["n"])
 
 
 def _cmd_cell_solve(cfg, pmap) -> int:
@@ -295,7 +295,7 @@ def _cmd_cell_solve(cfg, pmap) -> int:
             "profile": res.profile.values.tolist(),
         }
     else:
-        K = _cell_matrix(cfg)
+        K = _cell_matrix(cfg, [(cfg["k_ones"], cfg["mode"])])
         res = solve_brute_force(K, cfg["k_ones"], mode=cfg["mode"])
         result = {
             "method": res.method,
@@ -316,7 +316,7 @@ def _cmd_cell_solve(cfg, pmap) -> int:
 def _cmd_cell_verify(cfg, pmap) -> int:
     n = cfg["n"]
     ks = range(0, n + 1, max(1, n // 8))
-    K = _cell_matrix(cfg, ks)
+    K = _cell_matrix(cfg, [(k, mode) for k in ks for mode in ("all_subsets", "arcs_only")])
     rows = []
     all_equal = True
     for k in ks:
@@ -373,6 +373,8 @@ def _cmd_gamma_limit(cfg, pmap) -> int:
 def _cmd_two_scale(cfg, pmap) -> int:
     psi2 = _kernel_from_config(cfg)
     arcs = optimal_profile(cfg["t"])
+    for eps in cfg["eps_grid"]:  # every profile is sized before the first is built
+        check_profile_size(arcs, eps)
     psi1 = StepFunction.constant(1.0)
     # exact limit: with psi1 == 1 it is the pairing over one period (eps = 1)
     limit = two_scale_pairing(oscillating_profile(0.0, arcs, 1.0), psi1, psi2, 1.0)

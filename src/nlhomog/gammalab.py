@@ -22,7 +22,7 @@ import numpy as np
 from .cell import gamma_closed_form, optimal_profile
 from .energy import evaluate, evaluate_potentials
 from .kernel import PeriodicStepFunction, lambda_weight_mean, make_lambda_kernel
-from .states import StepFunction, TripleWellPotential, oscillating_profile
+from .states import StepFunction, TripleWellPotential, check_profile_size, oscillating_profile
 from .util import serial_map
 
 DEFAULT_EPS_GRID = tuple(1.0 / m for m in (8, 16, 32, 64, 128, 256))
@@ -151,9 +151,12 @@ def run_recovery_study(
 
     On whole-period grids (1/eps integer) the exact evaluator reproduces the
     limit to roundoff at every eps; non-integer 1/eps is allowed but noted,
-    since boundary layers then contaminate the rate fit.
+    since boundary layers then contaminate the rate fit. Every eps is sized
+    before the first profile is built.
     """
     arcs = optimal_profile(0.5)
+    for eps in eps_grid:
+        check_profile_size(arcs, eps)
     return _energy_study(
         lambda eps: oscillating_profile(c - 0.5, arcs, eps),
         alpha, beta, lam, eps_grid, gamma_limit_constant_value(alpha, beta, lam), pmap,

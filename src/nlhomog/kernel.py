@@ -89,8 +89,9 @@ class PeriodicStepFunction(StepFunction):
             raise ValueError("eps must be positive")
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(x1, dtype=float)
-        reach = max(np.abs(x0).max(initial=0.0), np.abs(x1).max(initial=0.0))
-        if reach / eps > PERIODIC_REDUCTION_RANGE:
+        # np.maximum, unlike max, passes a NaN in either bound to the check
+        reach = np.maximum(np.abs(x0).max(initial=0.0), np.abs(x1).max(initial=0.0))
+        if not reach / eps <= PERIODIC_REDUCTION_RANGE:
             raise ArgumentRangeError(
                 f"|x|/eps exceeds the periodic reduction range {PERIODIC_REDUCTION_RANGE:g}"
             )

@@ -102,8 +102,8 @@ class TripleWellPotential:
         z counts as the nearest of the wells -1, 0, 1 (ties to the first in
         that order) when within tol of it; a scalar z gives a float.
         """
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0.0 <= tol < math.inf:
+            raise ValueError("tol must be finite and >= 0")
         z = np.asarray(z, dtype=float)
         dists = np.stack([np.abs(z + 1.0), np.abs(z), np.abs(z - 1.0)])
         nearest = np.argmin(dists, axis=0)
@@ -137,15 +137,17 @@ def _merge_touching(arcs: list) -> list:
     return out
 
 
-def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFunction:
-    """The step function x -> z + chi_arcs(x/eps mod 1) on (0,1).
+def check_profile_size(arcs: Sequence[Arc], eps: float) -> Tuple[list, int]:
+    """Refuse ``oscillating_profile(z, arcs, eps)`` before it is built: an
+    eps outside (0, 1], invalid arcs, or more breakpoints than
+    ``util.MAX_INTERVALS``. Returns the merged arcs and the number of periods
+    the profile is built from.
 
-    The indicator's support within the unit cell is a sorted list of disjoint
-    arcs. Intervals of equal value arising across period boundaries are
-    merged, so the breakpoint count is at most 2*runs/eps + 2, where runs is
-    the number of cyclic runs of the indicator (at least 1 in the estimate).
-    That estimate is checked against ``util.MAX_INTERVALS`` before anything
-    is built.
+    Intervals of equal value arising across period boundaries are merged, so
+    the breakpoint count is at most 2*runs/eps + 2, where runs is the number
+    of cyclic runs of the indicator (at least 1 in the estimate). Nothing is
+    allocated, so a caller can size every eps of a grid before the first
+    profile.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -162,6 +164,17 @@ def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFuncti
             f"oscillating_profile: ~{est} breakpoints at 1/eps = {1.0 / eps:.6g} "
             f"exceed the cap {util.MAX_INTERVALS}"
         )
+    return arcs, periods
+
+
+def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFunction:
+    """The step function x -> z + chi_arcs(x/eps mod 1) on (0,1).
+
+    The indicator's support within the unit cell is a sorted list of disjoint
+    arcs; ``check_profile_size`` refuses an over-cap profile before anything
+    is built.
+    """
+    arcs, periods = check_profile_size(arcs, eps)
     # Period j is cut at (j+a)*eps and (j+b)*eps for each arc, then at
     # (j+1)*eps, capped at 1; each cut ends a piece of value 0 (gap), 1 (arc),
     # ..., 0. One rounding per cut keeps whole-period grids exact.

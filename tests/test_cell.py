@@ -524,6 +524,60 @@ class TestBruteForce:
         ):
             cell.enumeration_size(40, 20)
 
+    def test_cap_refused_from_the_lgamma_bound_without_exact_counts(self, monkeypatch):
+        # the exact C(2.2e6, 275000) has ~360 000 digits and its Burnside sum
+        # walks the divisors of gcd(n, k); the bound C(n, k)/n refuses alone
+        def no_work(*args):
+            raise AssertionError("exact count formed above the screening margin")
+
+        monkeypatch.setattr(cell, "rotation_classes", no_work)
+        monkeypatch.setattr(math, "comb", no_work)
+        with pytest.raises(ResourceLimitError) as err:
+            cell.enumeration_size(2_200_000, 275_000)
+        assert str(err.value) == (
+            "solve_brute_force: C(2200000,275000) ~ 2^1195831.5 subsets in "
+            "~ 2^1195810.5 rotation classes exceed the enumeration cap 10000000"
+        )
+
+    @pytest.mark.parametrize("n", [2, 16, 2_200_000])
+    def test_empty_and_full_subsets_form_one_class(self, n):
+        assert cell.rotation_classes(n, 0) == cell.rotation_classes(n, n) == 1
+        assert cell.enumeration_size(n, 0) == cell.enumeration_size(n, n) == 1
+
+    @pytest.mark.parametrize("mode", ["all_subsets", "arcs_only"])
+    @pytest.mark.parametrize(
+        "n, k_ones, message",
+        [
+            (16, -1, r"^k_ones must lie in \[0, n\]$"),
+            (16, 17, r"^k_ones must lie in \[0, n\]$"),
+            (1, 0, r"^n must be at least 2$"),
+            (0, 0, r"^n must be at least 2$"),
+        ],
+    )
+    def test_enumeration_size_refuses_bad_sizes(self, mode, n, k_ones, message):
+        with pytest.raises(ValueError, match=message):
+            cell.enumeration_size(n, k_ones, mode)
+
+    def test_enumeration_size_refuses_over_cap_cells_and_unknown_mode(self):
+        with pytest.raises(ResourceLimitError, match=r"^build_cell_matrix: "):
+            cell.enumeration_size(util.MAX_INTERVALS + 1, 1, "arcs_only")
+        with pytest.raises(ValueError, match=r"^unknown mode 'necklace'$"):
+            cell.enumeration_size(16, 4, "necklace")
+
+    def test_arcs_only_counts_arcs(self):
+        assert cell.enumeration_size(16, 5, "arcs_only") == 16
+        assert cell.enumeration_size(16, 0, "arcs_only") == 1
+
+    def test_arcs_only_search_over_cap_refused_by_the_library(self, monkeypatch):
+        K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 16)
+        monkeypatch.setattr(cell, "BRUTE_FORCE_CAP", 15)
+        assert solve_brute_force(K, 3, mode="arcs_only").iterations == 16
+        with pytest.raises(ResourceLimitError) as err:
+            solve_brute_force(K, 4, mode="arcs_only")
+        assert str(err.value) == (
+            "solve_brute_force: an arc of k_ones = 4 cells sums 16 offsets, over the cap 15"
+        )
+
     def test_all_subsets_never_above_arcs(self):
         rng = np.random.default_rng(5)
         for _ in range(5):

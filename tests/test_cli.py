@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nlhomog import StepFunction, TripleWellPotential, evaluate, make_lambda_kernel
-from nlhomog import cli, gammalab, util
+from nlhomog import cell, cli, gammalab, util
 from nlhomog.cell import BRUTE_FORCE_CAP
 from nlhomog.cli import dispatch
 
@@ -84,6 +84,34 @@ class TestEnergyCommand:
         assert rc == 1
         assert "evaluate_quadrature" in capsys.readouterr().err
         assert not (tmp_path / "energy.json").exists()
+
+    def test_quadrature_cap_refuses_before_the_exact_sum(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("exact pair sum run before the quadrature's grid cap")
+
+        monkeypatch.setattr(cli, "evaluate", no_work)
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps(StepFunction.constant(0.0).to_json()))
+        rc = dispatch(["energy", "--u", str(upath), "--quad-n", "1000000000",
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: evaluate_quadrature: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol, rc", [("0", 0), ("-1", 1)])
+    def test_value_tol_is_decided_by_the_library(self, tmp_path, capsys, tol, rc):
+        # 0 means exact wells, as in the library; a negative tolerance is the
+        # library's refusal, not a config error
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps(StepFunction([0.0, 0.5], [0.0, 1.0]).to_json()))
+        out = tmp_path / "out"
+        assert dispatch(["energy", "--u", str(upath), "--value-tol", tol,
+                         "--output-dir", str(out)]) == rc
+        if rc:
+            assert capsys.readouterr().err == "error: tol must be finite and >= 0\n"
+            assert not out.exists()
+        else:
+            assert read_json(out / "energy.json")["result"]["exact"]["value"] == 0.75
 
     def test_quadrature_snaps_levels_with_value_tol(self, tmp_path):
         # the level gap 1 + 1e-10 is a well only under --value-tol 1e-9, and
@@ -218,6 +246,37 @@ class TestDefaultConfigs:
         assert err.startswith("error: solve_brute_force: C(")
         assert f"exceed the enumeration cap {BRUTE_FORCE_CAP}" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cell-solve", "--method", "brute_force", "--k-ones", "17"], "k_ones must lie in [0, n]"),
+            (["cell-solve", "--method", "brute_force", "--k-ones", "-1"], "k_ones must lie in [0, n]"),
+            (["cell-solve", "--method", "brute_force", "--mode", "arcs_only", "--k-ones", "17"],
+             "k_ones must lie in [0, n]"),
+            # n = 0 once divided by zero in the class count
+            (["cell-verify", "--n", "0"], "n must be at least 2"),
+            (["cell-verify", "--n", "1"], "n must be at least 2"),
+            (["cell-solve", "--method", "projected_gradient", "--n", "1"], "n must be at least 2"),
+        ],
+    )
+    def test_search_sizes_checked_before_work(self, tmp_path, monkeypatch, capsys, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("cell matrix built before the size check")
+
+        monkeypatch.setattr(cli, "build_cell_matrix", no_work)
+        assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_arcs_only_cap_message_is_the_librarys(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cell, "BRUTE_FORCE_CAP", 15)
+        K = cell.build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 16)
+        with pytest.raises(util.ResourceLimitError) as lib:
+            cell.solve_brute_force(K, 4, mode="arcs_only")
+        argv = ["cell-solve", "--method", "brute_force", "--mode", "arcs_only", "--k-ones", "4"]
+        assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {lib.value}\n"
 
     BIG_N = util.MAX_INTERVALS + 1
     BIG_N_MESSAGE = f"build_cell_matrix: {BIG_N} cells exceed the cap {util.MAX_INTERVALS}"
@@ -410,6 +469,33 @@ class TestStudyCommands:
         monkeypatch.setattr(gammalab, "evaluate", no_work)
         assert dispatch(argv + ["--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gamma-limit", "non-rep", "two-scale"])
+    def test_every_eps_sized_before_the_first_profile(self, tmp_path, monkeypatch, capsys, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("profile built or energy evaluated before every eps was sized")
+
+        for module, name in [(gammalab, "evaluate"), (gammalab, "oscillating_profile"),
+                             (cli, "two_scale_pairing"), (cli, "oscillating_profile")]:
+            monkeypatch.setattr(module, name, no_work)
+        argv = [command, "--eps-grid", "0.000001,0.0000001", "--output-dir", str(tmp_path / "out")]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: oscillating_profile: ~20000002 breakpoints at 1/eps = 1e+07 exceed the cap "
+            f"{util.MAX_INTERVALS}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--study-tol", "study_tol")])
+    def test_certificate_tolerances_are_refused_by_the_library(self, tmp_path, monkeypatch,
+                                                              capsys, flag, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("study run before the tolerance check")
+
+        monkeypatch.setattr(gammalab, "run_recovery_study", no_work)
+        assert dispatch(["non-rep", flag, "0", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {name} must be positive\n"
         assert not (tmp_path / "out").exists()
 
 

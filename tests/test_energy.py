@@ -361,6 +361,14 @@ class TestAdmissibility:
         for tol in (0.0, 1e-14):
             assert evaluate(u, INF_POT, self.K, 0.1, value_tol=tol).value == math.inf
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+    def test_bad_value_tol_is_refused(self, tol):
+        # a NaN tolerance once snapped no level and returned inf for an admissible u
+        u = oscillating_profile(-0.5, optimal_profile(0.5), 1.0 / 64.0)
+        assert evaluate(u, INF_POT, self.K, 1.0 / 64.0, value_tol=0.0).value == pytest.approx(0.625)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            evaluate(u, INF_POT, self.K, 1.0 / 64.0, value_tol=tol)
+
     def test_off_well_level_on_a_tiny_interval_is_infinite(self):
         u = StepFunction([0.0, 0.5, 0.5 + 1e-12], [0.0, 0.5, 1.0])
         assert evaluate(u, INF_POT, self.K, 0.1).value == math.inf

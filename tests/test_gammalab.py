@@ -23,7 +23,7 @@ from nlhomog import (
     step_limit_value,
     two_scale_pairing,
 )
-from nlhomog import ArgumentRangeError, gammalab
+from nlhomog import ArgumentRangeError, ResourceLimitError, gammalab
 from nlhomog.kernel import PeriodicStepFunction
 
 EPS_GRID = [1.0 / m for m in (8, 16, 32, 64)]
@@ -87,6 +87,15 @@ class TestRecoveryStudy:
     def test_empty_eps_grid_refused(self, study):
         with pytest.raises(ValueError, match="eps_grid"):
             study(0.5, 1.0, 2.0, 0.5, [])
+
+    def test_every_eps_sized_before_the_first_profile(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("profile built before every eps was sized")
+
+        monkeypatch.setattr(gammalab, "oscillating_profile", no_work)
+        monkeypatch.setattr(gammalab, "evaluate", no_work)
+        with pytest.raises(ResourceLimitError, match=r"^oscillating_profile: ~20000002 breakpoints"):
+            run_recovery_study(0.0, 1.0, 2.0, 0.5, [1e-6, 1e-7])
 
     def test_machine_exact_studies_skip_rate_fit(self):
         st = run_recovery_study(0.0, 1.0, 2.0, 0.5, EPS_GRID)

@@ -216,6 +216,15 @@ class TestPeriodicIntegral:
             f.integral(np.array([0.0, -3.0]), np.array([1.0, 0.0]), 1e-12)
 
 
+    @pytest.mark.parametrize("x0, x1", [(math.nan, 1.0), (0.5, math.nan),
+                                        (np.array([0.0, math.nan]), np.array([1.0, 0.5]))])
+    def test_nan_bound_refused(self, x0, x1):
+        # a NaN compares False with the range, so only a negated <= refuses it
+        f = PeriodicStepFunction([0.0, 0.3], [1.0, -2.0])
+        with pytest.raises(ArgumentRangeError):
+            f.integral(x0, x1, 0.5)
+
+
 class TestSerialization:
     def test_round_trip(self):
         k = PeriodicStepKernel([0.0, 0.2, 0.45, 0.8], [1.5, 0.3, 2.2, 0.9])

@@ -14,6 +14,7 @@ from nlhomog import (
     oscillating_profile,
 )
 from nlhomog import util
+from nlhomog.states import check_profile_size
 
 
 class TestPotential:
@@ -79,6 +80,12 @@ class TestPotential:
     def test_non_finite_cap_is_refused(self, cap):
         with pytest.raises(ValueError, match="cap must be >= 1"):
             TripleWellPotential(cap=cap)
+
+
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
+    def test_bad_tol_is_refused(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must be finite and >= 0$"):
+            TripleWellPotential().value(1.0, tol)
 
 
 class TestStepFunction:
@@ -240,6 +247,15 @@ class TestOscillatingProfile:
         oscillating_profile(0.0, optimal_profile(0.5), 1.0 / 49.0)
         with pytest.raises(ResourceLimitError, match=r"oscillating_profile: ~102 breakpoints"):
             oscillating_profile(0.0, optimal_profile(0.5), 1.0 / 50.0)
+
+    def test_size_check_is_the_profiles_own(self, monkeypatch):
+        monkeypatch.setattr(util, "MAX_INTERVALS", 100)
+        arcs, periods = check_profile_size([(0.0, 0.25), (0.75, 1.0)], 1.0 / 49.0)
+        assert arcs == [(0.0, 0.25), (0.75, 1.0)] and periods == 49
+        with pytest.raises(ResourceLimitError, match=r"^oscillating_profile: ~102 breakpoints"):
+            check_profile_size(optimal_profile(0.5), 1.0 / 50.0)
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\]$"):
+            check_profile_size(optimal_profile(0.5), 0.0)
 
     def test_default_cap_admits_recovery_profile_at_1e6(self):
         # 2_000_001 intervals; the estimate is checked before anything is built

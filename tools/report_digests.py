@@ -12,6 +12,12 @@ Two checkouts give the same lines exactly when their default reports are
 byte-identical. Run from the root of a checkout (no install needed):
 
     python3 tools/report_digests.py
+
+``tools/report_digests.txt`` pins the lines, and
+``tests/test_report_digests.py`` compares this script's output with it; a
+change that alters a default report regenerates the file with
+
+    python3 tools/report_digests.py > tools/report_digests.txt
 """
 
 from __future__ import annotations
