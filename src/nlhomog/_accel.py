@@ -45,23 +45,21 @@ depend on the order of the levels, nor on the other matrices of a stack.
 ``brute_force_search`` scores one k-subset per rotation class of the cell
 grid, streamed in blocks by ``necklace_gaps`` in lexicographic order, so its
 memory is O(``SEARCH_CHUNK`` * k * min(k, ``STEP_DEPTH``)) for any number of
-classes. Every kernel here is plain numpy and Python;
-numba is used nowhere. ``HAVE_NUMBA`` (numba importable) and
-``USE_NUMBA`` (that, unless HOMOG_DISABLE_NUMBA=1 is set at import) select
-no code path: they are kept only because benchmark reports record them.
+classes. Every kernel here is plain numpy and Python; numba is used
+nowhere. ``HAVE_NUMBA`` (numba importable) and ``USE_NUMBA`` (always False)
+select no code path and read no environment variable: they are kept only
+because benchmark reports record them.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
-import os
 
 import numpy as np
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-_flag = os.environ.get("HOMOG_DISABLE_NUMBA", "0").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _flag not in ("1", "true", "yes")
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------

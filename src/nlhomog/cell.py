@@ -31,6 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel, util
 from .energy import rect_integral
@@ -242,17 +243,16 @@ def solve_relaxed(K: CellKernelMatrix, t: float, seed: int = 0) -> CellSolveResu
     method starts from the discretized arc profile, the flat profile and a
     random feasible point, and reports the best iterate of the three starts.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
     n = K.n
-    L = _spectral_norm(K)
-    step = 1.0 / (2.0 * L) if L > 0 else 1.0
+    # optimal_profile refuses a t outside [0, 1] before the spectrum's FFT
     rng = np.random.default_rng(seed)
     starts = [
         CellProfile.from_arcs(optimal_profile(t), n).values,
         np.full(n, t),
         rng.uniform(0.0, 1.0, n),
     ]
+    L = _spectral_norm(K)
+    step = 1.0 / (2.0 * L) if L > 0 else 1.0
     best_phi, best_energy, best_iters = None, math.inf, 0
     converged = True
     for x0 in starts:
@@ -374,7 +374,12 @@ def solve_brute_force(
         raw, idx = _accel.brute_force_search(row, n, k_ones, tie_tol)
     else:
         idx = np.arange(k_ones)
-        raw = float(np.sum(row[(idx[None, :] - idx[:, None]) % n]))
+        # row i of the reversed windows of row2 = row repeated twice is
+        # row[(j - i) mod n], j < k_ones: the offset block in C order, the
+        # summation order the rotation-scan tests pin, with no index matrix
+        row2 = np.concatenate([row, row])
+        block = sliding_window_view(row2[n - k_ones + 1:n + k_ones], k_ones)[::-1]
+        raw = float(np.sum(np.ascontiguousarray(block)))
     values = np.zeros(n)
     values[idx] = 1.0
     energy = _assemble_energy(K, raw / (n * n), t)

@@ -19,9 +19,10 @@ antiderivative values), so no precision is lost at small eps. B_per is
 endpoint phases e/eps mod 1; ``_accel.pair_energy`` sums them as a field on
 the circle in O(P log P) (its module docstring has the algebra).
 ``rect_integral`` keeps the single-rectangle formula: it is the O(P^2) oracle
-of the tests, and it fills every entry of ``cell.build_cell_matrix``,
-evaluating B_per at its four corners in Python floats: ~4 us per entry on
-one core of a 2-vCPU VM, where a four-element numpy array costs ~11 us.
+of the tests, and it fills every entry of ``cell.build_cell_matrix`` with
+four scalar ``PeriodicStepKernel.periodic_part`` calls, the one evaluator of
+B_per. ``kernel.check_reduction`` owns the range of eps and of the reduced
+arguments; every evaluator here calls it before any work.
 The circle sum depends on u, the weight and eps but not on the potential f,
 which enters only through the L x L matrix of level weights
 f(level_l - level_m): ``evaluate_potentials`` scores one u against several
@@ -52,7 +53,6 @@ quadrature grid, admits it and 1/eps = 2^20.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import asdict, dataclass
 from typing import List, Sequence
@@ -60,9 +60,9 @@ from typing import List, Sequence
 import numpy as np
 
 from . import _accel, util
-from .kernel import PERIODIC_REDUCTION_RANGE, PeriodicStepKernel
+from .kernel import PeriodicStepKernel, check_reduction
 from .states import DEFAULT_VALUE_TOL, StepFunction, TripleWellPotential
-from .util import ArgumentRangeError, ResourceLimitError
+from .util import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -82,33 +82,13 @@ def rect_integral(
     """Exact integral of a((x-y)/eps) over [x0,x1] x [y0,y1]."""
     if not (x0 < x1 and y0 < y1):
         raise ValueError("degenerate rectangle")
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive")
+    d0, d1, d2, d3 = x1 - y0, x1 - y1, x0 - y0, x0 - y1
+    # dividing by eps > 0 rounds monotonically: max|d| / eps is the largest |corner|
+    check_reduction(eps, max(abs(d0), abs(d1), abs(d2), abs(d3)))
     # the corners as Python floats: the same roundings as an array divided by eps
-    corners = ((x1 - y0) / eps, (x1 - y1) / eps, (x0 - y0) / eps, (x0 - y1) / eps)
-    if max(map(abs, corners)) > PERIODIC_REDUCTION_RANGE:
-        raise ArgumentRangeError("corner argument exceeds the periodic reduction range")
-    # B_per at each corner in Python floats, with the IEEE operations of
-    # ``periodic_part`` in its order: bisect_right over bp from index 1 is
-    # ``segment_index``, so every entry is bit-identical to the array path
-    bp = k.breakpoints.tolist()
-    t = k.table
-    q0, q1, q2 = t.q0.tolist(), t.q1.tolist(), t.q2.tolist()
-    p = []
-    for c in corners:
-        u = c - math.floor(c)
-        i = bisect.bisect_right(bp, u, 1) - 1
-        du = u - bp[i]
-        p.append(q0[i] + du * (q1[i] + du * q2[i]))
-    per = p[0] - p[1] - p[2] + p[3]
+    pp = k.periodic_part
+    per = pp(d0 / eps) - pp(d1 / eps) - pp(d2 / eps) + pp(d3 / eps)
     return float(k.table.mean * (x1 - x0) * (y1 - y0) + eps * eps * per)
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive")
-    if 1.0 / eps > PERIODIC_REDUCTION_RANGE:
-        raise ArgumentRangeError("1/eps exceeds the periodic reduction range")
 
 
 def _level_structure(u: StepFunction, pots, tol: float):
@@ -132,7 +112,7 @@ def evaluate_potentials(
     under that potential; every interval pair has positive area, so any
     infinite weight short-circuits to +inf before touching arithmetic, and
     when every potential does, no circle sum runs."""
-    _check_eps(eps)
+    check_reduction(eps, 1.0)
     P = u.values.shape[0]
     if P > util.MAX_INTERVALS:
         raise ResourceLimitError(f"evaluate: {P} intervals exceed the cap {util.MAX_INTERVALS}")
@@ -185,7 +165,7 @@ def evaluate_quadrature(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_eps(eps)
+    check_reduction(eps, 1.0)
     cells = n + u.values.shape[0]
     if cells > util.MAX_INTERVALS:
         raise ResourceLimitError(

@@ -11,17 +11,24 @@ where ``B_per`` is 1-periodic and bounded. ``table`` holds ``mean`` and
 ``b1`` and ``periodic_part`` evaluates ``B_per``; ``B`` itself is never
 formed. The quadratic part of the four corner terms of a rectangle
 telescopes to ``mean * area`` and the linear part to zero, so
-``energy.rect_integral`` and the circle sum of ``_accel.pair_energy`` read
-only ``mean`` and ``B_per`` (its values or its per-segment coefficients).
-That keeps the computation exact (up to roundoff) even when corner
-arguments grow like ``1/eps``; subtracting raw ``B`` values would lose one
-digit per decade of ``1/eps``. Single integrals of ``f(x/eps)`` use the same
-trick one order down: the slope of ``B_per`` carries all of the
+``energy.rect_integral`` (four ``periodic_part`` calls) and the circle sum
+of ``_accel.pair_energy`` (the per-segment coefficients) read only ``mean``
+and ``B_per``. That keeps the computation exact (up to roundoff) even when
+corner arguments grow like ``1/eps``; subtracting raw ``B`` values would
+lose one digit per decade of ``1/eps``. Single integrals of ``f(x/eps)`` use
+the same trick one order down: the slope of ``B_per`` carries all of the
 antiderivative but its linear part, so no period is ever enumerated.
+
+Periodic reduction keeps its precision only up to
+``PERIODIC_REDUCTION_RANGE``; ``check_reduction`` is the one check of that
+range and of eps, and every evaluator in ``energy`` and ``integral`` here
+calls it before any reduction.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,18 @@ from .util import ArgumentRangeError
 # Beyond this the fractional part of a float64 argument has fewer than ~4
 # significant digits left, so periodic reduction t - floor(t) is meaningless.
 PERIODIC_REDUCTION_RANGE = 1e12
+
+
+def check_reduction(eps: float, reach: float) -> None:
+    """Refuse an eps outside (0, inf), then arguments up to ``reach`` in
+    modulus whose reduction x/eps would leave ``PERIODIC_REDUCTION_RANGE``;
+    a NaN reach fails the negated comparison and is refused too."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive")
+    if not reach / eps <= PERIODIC_REDUCTION_RANGE:
+        raise ArgumentRangeError(
+            f"|x|/eps exceeds the periodic reduction range {PERIODIC_REDUCTION_RANGE:g}"
+        )
 
 
 def _two_product(a, b):
@@ -57,6 +76,9 @@ class PeriodicStepFunction(StepFunction):
     def __init__(self, breakpoints, values):
         super().__init__(breakpoints, values)
         self.table = _build_antiderivative_table(self.breakpoints, self.values)
+        # the breakpoints and B_per coefficients as Python floats, for scalars
+        t = self.table
+        self._scalar_table = tuple(a.tolist() for a in (self.breakpoints, t.q0, t.q1, t.q2))
 
     def _locate(self, t):
         """Segment index of t mod 1 and the offset from that segment's start."""
@@ -72,7 +94,20 @@ class PeriodicStepFunction(StepFunction):
         return float(out) if out.ndim == 0 else out
 
     def periodic_part(self, t):
-        """B_per(t mod 1), the bounded 1-periodic remainder of B; vectorized."""
+        """B_per(t mod 1), the bounded 1-periodic remainder of B; vectorized.
+
+        A finite Python float is evaluated in Python floats, with the IEEE
+        operations of the array path in its order (bisect_right over the
+        breakpoints from index 1 is ``segment_index``), so both paths give
+        the same bits; one float takes about a tenth of the array path's
+        time for one value (~0.3 us on one core of a 2-vCPU VM).
+        """
+        if type(t) is float and math.isfinite(t):
+            bp, q0, q1, q2 = self._scalar_table
+            u = t - math.floor(t)
+            i = bisect.bisect_right(bp, u, 1) - 1
+            du = u - bp[i]
+            return q0[i] + du * (q1[i] + du * q2[i])
         idx, du = self._locate(t)
         out = self.table.q0[idx] + du * (self.table.q1[idx] + du * self.table.q2[idx])
         return float(out) if out.ndim == 0 else out
@@ -83,18 +118,12 @@ class PeriodicStepFunction(StepFunction):
         The antiderivative of f is mean*t + b1 + S(t) with S = B_per' bounded
         and 1-periodic, so each integral is mean*(x1 - x0) plus eps times a
         difference of S values: nothing grows with 1/eps and nothing cancels.
-        eps must be positive and finite.
+        eps and the bounds are checked by ``check_reduction``.
         """
-        if not 0.0 < eps < np.inf:
-            raise ValueError("eps must be positive")
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(x1, dtype=float)
         # np.maximum, unlike max, passes a NaN in either bound to the check
-        reach = np.maximum(np.abs(x0).max(initial=0.0), np.abs(x1).max(initial=0.0))
-        if not reach / eps <= PERIODIC_REDUCTION_RANGE:
-            raise ArgumentRangeError(
-                f"|x|/eps exceeds the periodic reduction range {PERIODIC_REDUCTION_RANGE:g}"
-            )
+        check_reduction(eps, np.maximum(np.abs(x0).max(initial=0.0), np.abs(x1).max(initial=0.0)))
 
         def slope(x):
             # the phase of x/eps = t + r/eps, r = x - t*eps exactly: t alone

@@ -1,7 +1,5 @@
 import itertools
 import math
-import subprocess
-import sys
 from array import array
 
 import numpy as np
@@ -355,28 +353,3 @@ class TestSubsetSearch:
                 assert res.energy == float(2.0 * J - 2.0 * K.abar * t + K.abar), (n, k)
                 assert res.extras["indices"] == np.sort(idx).tolist(), (n, k)
                 assert res.iterations == math.comb(n, k)
-
-
-class TestEnvFlag:
-    def test_disable_flag_forces_numpy_path(self):
-        code = (
-            "import os; os.environ['HOMOG_DISABLE_NUMBA']='1'; "
-            "from nlhomog import _accel; print(_accel.USE_NUMBA)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_numpy_path_runs_evaluate(self):
-        code = (
-            "import os; os.environ['HOMOG_DISABLE_NUMBA']='1'; "
-            "import nlhomog as nl; "
-            "k = nl.make_lambda_kernel(1,2,0.5); "
-            "u = nl.oscillating_profile(-0.5, nl.optimal_profile(0.5), 1/64); "
-            "print(abs(nl.evaluate(u, nl.TripleWellPotential(), k, 1/64).value - 0.625) < 1e-10)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "True"

@@ -53,6 +53,22 @@ def test_claim_verdict_on_synthetic_pairs(tmp_path):
 
     rss = cell["peak_rss_mb"]
     assert rss["wins"] == 0 and not rss["gain_exceeds_iqr"] and not rss["worse_than_bound"]
+    # the parent's walls spread 7% of their median, inside the 25% bound
+    assert not wall["unresolved"] and not setup["unresolved"] and not rss["unresolved"]
+
+
+def test_wide_parent_spread_is_unresolved_unless_the_change_wins_every_run():
+    # inclusive quartiles 0.12 and 0.18: an IQR of 50% of the 0.12 median
+    parent = [0.10, 0.12, 0.12, 0.20, 0.18]
+    v = bench_record.metric_verdict(parent, [0.13, 0.11, 0.12, 0.19, 0.12], "lower", 0.25)
+    assert v["parent_iqr"] == pytest.approx(0.06)
+    assert v["unresolved"] and not v["worse_than_bound"]
+    # every change run below every parent run resolves the spread
+    v = bench_record.metric_verdict(parent, [0.05, 0.07, 0.06, 0.09, 0.08], "lower", 0.25)
+    assert not v["unresolved"] and v["wins"] == 5
+    # one change run at the parent's fastest does not
+    v = bench_record.metric_verdict(parent, [0.05, 0.07, 0.06, 0.10, 0.08], "lower", 0.25)
+    assert v["unresolved"]
 
 
 def test_higher_is_better_metrics_flip_the_sign():

@@ -339,10 +339,17 @@ class TestSolveRelaxed:
         res = solve_relaxed(K, 0.5)
         assert 0.69 <= res.energy <= 0.875 + 1e-9
 
-    def test_t_validation(self):
+    def test_t_validation(self, monkeypatch):
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 16)
-        with pytest.raises(ValueError):
-            solve_relaxed(K, 1.2)
+
+        def no_spectrum(K):
+            raise AssertionError("spectrum taken before t was checked")
+
+        # optimal_profile, which builds the arc start, is the one t check
+        monkeypatch.setattr(cell, "_spectral_norm", no_spectrum)
+        for t in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+                solve_relaxed(K, t)
 
     def test_one_matvec_per_step(self, monkeypatch):
         # every start projects once and scores its start; every step projects

@@ -572,16 +572,23 @@ class TestQuadrature:
             evaluate_quadrature(StepFunction.constant(0.0), INF_POT, k, 0.1, n=1)
 
     def test_eps_range_guard_matches_evaluate(self):
-        # one check for both evaluators: the exact one refuses 1/eps = 1e13,
-        # so the quadrature oracle must not answer there either
+        # one check, kernel.check_reduction, for both evaluators, the
+        # rectangle integral and the single integral: the exact evaluator
+        # refuses 1/eps = 1e13, so no other caller may answer there either
         k = make_lambda_kernel(1.0, 2.0, 0.5)
         u = StepFunction([0.0, 0.5], [0.0, 1.0])
-        for fn in (evaluate, lambda *a: evaluate_quadrature(*a, n=16)):
-            with pytest.raises(ArgumentRangeError):
-                fn(u, INF_POT, k, 1e-13)
-            for eps in (0.0, math.nan, math.inf):
+        callers = (
+            lambda eps: evaluate(u, INF_POT, k, eps),
+            lambda eps: evaluate_quadrature(u, INF_POT, k, eps, n=16),
+            lambda eps: rect_integral(k, eps, 0, 1, 0, 1),
+            lambda eps: k.integral(0.0, 1.0, eps),
+        )
+        for fn in callers:
+            with pytest.raises(ArgumentRangeError, match="periodic reduction range 1e"):
+                fn(1e-13)
+            for eps in (0.0, -1.0, -math.inf, math.nan, math.inf):
                 with pytest.raises(ValueError, match="eps must be positive"):
-                    fn(u, INF_POT, k, eps)
+                    fn(eps)
 
     def test_randomized_agreement_within_bound(self):
         rng = np.random.default_rng(11)

@@ -12,6 +12,7 @@ from nlhomog import (
     integrate,
     make_lambda_kernel,
 )
+from nlhomog.kernel import PERIODIC_REDUCTION_RANGE, check_reduction
 
 
 def segment_sum_mean(k):
@@ -156,6 +157,26 @@ class TestSecondAntiderivative:
                 assert abs(fd2 - k.eval(t)) <= 10.0 * h * max_a
 
 
+    def test_scalar_path_matches_array_path_bit_for_bit(self):
+        # a Python float takes the list path, an array the numpy path; both
+        # must give the same bits, on breakpoints and far from the origin too
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            pieces = int(rng.integers(1, 9))
+            bp = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, pieces - 1))])
+            k = PeriodicStepFunction(bp, rng.uniform(-2.0, 3.0, bp.size))  # signed
+            ts = np.concatenate([
+                rng.uniform(-3.0, 3.0, 40),
+                rng.uniform(-1.0, 1.0, 20) * 10.0 ** rng.uniform(0.0, 12.0, 20),
+                k.breakpoints, k.breakpoints - 2.0, [0.0, -0.0, 1.0, -1.0],
+            ])
+            want = k.periodic_part(ts)
+            for t, w in zip(ts.tolist(), want.tolist()):
+                got = k.periodic_part(t)
+                assert type(got) is float
+                assert got == w and math.copysign(1.0, got) == math.copysign(1.0, w), t
+
+
 def _exact_integral(f, x0, x1, eps):
     """Oracle: the integral of f(x/eps) over [x0, x1] in rational arithmetic,
     from whole periods and a partial sum of value * length."""
@@ -215,6 +236,20 @@ class TestPeriodicIntegral:
         with pytest.raises(ArgumentRangeError):
             f.integral(np.array([0.0, -3.0]), np.array([1.0, 0.0]), 1e-12)
 
+
+    def test_check_reduction_edges(self):
+        # the range is inclusive; eps is judged before the reach, so eps = 0
+        # with reach 0 is a bad eps, not a range overflow
+        check_reduction(1.0, PERIODIC_REDUCTION_RANGE)
+        check_reduction(0.5, 0.0)
+        with pytest.raises(ArgumentRangeError):
+            check_reduction(1.0, math.nextafter(PERIODIC_REDUCTION_RANGE, math.inf))
+        for reach in (math.nan, math.inf):
+            with pytest.raises(ArgumentRangeError):
+                check_reduction(0.5, reach)
+        for eps in (0.0, -0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^eps must be positive$"):
+                check_reduction(eps, 0.0)
 
     @pytest.mark.parametrize("x0, x1", [(math.nan, 1.0), (0.5, math.nan),
                                         (np.array([0.0, math.nan]), np.array([1.0, 0.5]))])

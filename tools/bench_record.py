@@ -23,7 +23,11 @@ run on both sides:
 - ``gain_exceeds_iqr``: whether the second side's median is better than the
   first's by more than the first side's interquartile range;
 - ``worse_than_bound``: whether the second side's median is worse than the
-  first's by more than the metric's relative bound.
+  first's by more than the metric's relative bound;
+- ``unresolved``: whether the first side's interquartile range exceeds the
+  metric's relative bound, so that a shift within the bound cannot be told
+  from noise, unless every run of the second side is better than every run
+  of the first.
 """
 
 from __future__ import annotations
@@ -81,14 +85,17 @@ def metric_verdict(base_runs, other_runs, better: str, bound: float) -> dict:
     base, other = summary(base_runs), summary(other_runs)
     wins = sum(sign * (b - a) < 0 for a, b in zip(base_runs, other_runs))
     gain = sign * (base["median"] - other["median"])
+    iqr = base["q3"] - base["q1"]
+    sweep = max(sign * b for b in other_runs) < min(sign * a for a in base_runs)
     return {
         "median": other["median"],
         "parent_median": base["median"],
-        "parent_iqr": base["q3"] - base["q1"],
+        "parent_iqr": iqr,
         "wins": wins,
         "wins_9_of_10": 10 * wins >= 9 * len(base_runs),
-        "gain_exceeds_iqr": gain > base["q3"] - base["q1"],
+        "gain_exceeds_iqr": gain > iqr,
         "worse_than_bound": -gain > bound * abs(base["median"]),
+        "unresolved": iqr > bound * abs(base["median"]) and not sweep,
     }
 
 
