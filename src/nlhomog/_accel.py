@@ -14,10 +14,12 @@ and m segments. F depends on a phase only through its value, so
 sums their weights) and the sums run over the U distinct phases and their
 copies ``theta - 1``: each phase has one copy in ``(theta - 1, theta]``, the
 copies whose difference falls in segment s fill the window
-``(theta - beta_{s+1}, theta - beta_s]`` that two ``searchsorted`` calls
-locate, and prefix sums of ``c``, ``c*phi`` and ``c*phi^2`` over the 2U
-copies give each window's sum in O(1). Memory is O(P) for the phases and
-each output row plus O(m U). The 2 000 002 endpoints of the recovery
+``(theta - beta_{s+1}, theta - beta_s]``, and prefix sums of ``c``,
+``c*phi`` and ``c*phi^2`` over the 2U copies give each window's sum in O(1).
+The window ends at the weight's interior breakpoints take one
+``searchsorted`` each; those at ``beta_0 = 0`` and 1 are known without a
+search, since every phase lies on the 2^-52 grid. Memory is O(P) for the
+phases and each output row plus O(m U). The 2 000 002 endpoints of the recovery
 profile at 1/eps = 1e6 fall on U = 59 (rounding splits its 3 exact phases).
 Windows are closed on the right, so a difference that lands exactly on
 ``beta_s`` belongs to segment s, matching the left-closed segments of the
@@ -88,13 +90,18 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
     ``theta`` holds phases in [0, 1) from ``phases``; ``weights`` has one row
     per field. ``g`` has segments starting at ``kbp`` with coefficients
     ``q0, q1, q2``; leaving out q1 and q2 makes it piecewise constant.
+    Needs ``kbp[0] == 0`` (as ``StepFunction`` requires) and ``theta`` from
+    ``phases``: then ``tu - 1`` is exact and the outer cuts need no search.
     """
     # F depends on a phase only through its value: one weight per distinct phase
     tu, inv = np.unique(theta, return_inverse=True)
+    U = tu.size
     phi = np.concatenate([tu - 1.0, tu])
     edges = np.append(kbp, 1.0)
-    # window of segment s is phi[cut[s+1]:cut[s]], i.e. (tu - edges[s+1], tu - edges[s]]
-    cut = [np.searchsorted(phi, tu - e, side="right") for e in edges]
+    # window of segment s is phi[cut[s+1]:cut[s]], i.e. (tu - edges[s+1], tu - edges[s]];
+    # phi <= tu[a] holds for all U copies and a + 1 phases, phi <= tu[a] - 1 for a + 1 copies
+    inner = [np.searchsorted(phi, tu - e, side="right") for e in edges[1:-1]]
+    cut = [slice(U + 1, 2 * U + 1)] + inner + [slice(1, U + 1)]
     quadratic = q1 is not None and (np.any(q1) or np.any(q2))
     out = np.empty((weights.shape[0], theta.size))
     for k, w in enumerate(weights):

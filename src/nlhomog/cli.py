@@ -5,7 +5,9 @@
 value of a selector field (cell-solve's method, energy's potential). A
 subcommand registers flags for all its fields and the run flags --config
 --output-dir --threads --seed only; a flag or config-file field that the
-selected variant does not read is a config error.
+selected variant does not read is a config error. ``dispatch`` registers the
+flags of the command it runs only; ``--help``, a missing and an unknown
+command get the parser of every command, so their text lists every command.
 Every subcommand writes a JSON report (machine consumption) and, where the
 result is tabular, a CSV next to it (plotting). A report embeds the
 command's fields plus seed and a schema_version field, and identical configs
@@ -486,13 +488,19 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command alone: its usage line
+    still names every command, and its help and errors are the full
+    parser's."""
     parser = argparse.ArgumentParser(
         prog="nlhomog",
         description="Experiments on non-local pair energies with oscillating periodic weights.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    # the metavar only where one command is added: it would rename the
+    # command in the full parser's missing- and invalid-command messages
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
         # no abbreviations: --eps must not turn into --eps-grid where only that exists
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
@@ -506,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    # only the named command's flags; --help, no command or an unknown one get all
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -37,7 +37,9 @@ def make_pmap(threads: int) -> Callable[[Callable, Iterable], list]:
     Results come back in input order regardless of completion order, so any
     thread count produces identical output. Each item must be pure.
     """
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if threads == 1:
         return serial_map
 
     def pmap(fn, items):

@@ -222,6 +222,78 @@ class TestRepeatedPhases:
                 np.testing.assert_allclose(quad[:, theta == v][:, 0], direct, rtol=1e-12, atol=1e-12)
 
 
+def _circle_field_searching_every_cut(theta, weights, kbp, q0, q1=None, q2=None):
+    """circle_field as it was when every window end, the outer two included,
+    came from its own searchsorted."""
+    tu, inv = np.unique(theta, return_inverse=True)
+    phi = np.concatenate([tu - 1.0, tu])
+    edges = np.append(kbp, 1.0)
+    cut = [np.searchsorted(phi, tu - e, side="right") for e in edges]
+    quadratic = q1 is not None and (np.any(q1) or np.any(q2))
+    out = np.empty((weights.shape[0], theta.size))
+    for k, w in enumerate(weights):
+        c = np.tile(np.bincount(inv, weights=w, minlength=tu.size), 2)
+        pre0 = _accel._cumsum0(c)
+        if quadratic:
+            c *= phi
+            pre1 = _accel._cumsum0(c, np.longdouble)
+            c *= phi
+            pre2 = _accel._cumsum0(c, np.longdouble)
+        F = np.zeros(tu.size)
+        for s in range(edges.size - 1):
+            lo, hi = cut[s + 1], cut[s]
+            C0 = pre0[hi] - pre0[lo]
+            if not quadratic:
+                F += q0[s] * C0
+                continue
+            C1 = (pre1[hi] - pre1[lo]).astype(float)
+            C2 = (pre2[hi] - pre2[lo]).astype(float)
+            d = tu - edges[s]
+            F += q0[s] * C0 + q1[s] * (d * C0 - C1) + q2[s] * (d * (d * C0 - 2.0 * C1) + C2)
+        out[k] = F[inv]
+    return out
+
+
+class TestOuterCuts:
+    """The window ends at 0 and 1 are slices, not searches: the field is
+    bit-identical to the one that searched every cut."""
+
+    def test_matches_every_cut_searched_bit_for_bit(self):
+        rng = np.random.default_rng(20261020)
+        kinds = ("distinct", "one phase", "crowded", "grid")
+        seen = set()
+        for case in range(600):
+            kind = kinds[case % 4]
+            P = int(rng.integers(1, 40))
+            nseg = int(rng.integers(1, 7))
+            if kind == "grid":
+                # differences land exactly on breakpoints: ties at every cut
+                x, eps = rng.integers(0, 64, P) / 64.0, 1.0
+                inner = rng.choice(np.arange(1, 64), nseg - 1, replace=False) / 64.0
+            else:
+                x, eps = rng.uniform(0.0, 5.0, P), float(rng.uniform(0.01, 1.0))
+                inner = rng.uniform(0.0, 1.0, nseg - 1)
+                if kind == "one phase":
+                    x[:] = x[0]
+                elif kind == "crowded":
+                    x[rng.random(P) < 0.6] = x[0]
+            if rng.random() < 0.3:
+                x[int(rng.integers(0, P))] = 0.0
+            kbp = np.unique(np.concatenate([[0.0], inner]))  # [0] alone: both cuts outer
+            theta = _accel.phases(x, eps)
+            rows = int(rng.integers(1, 7))
+            weights = rng.normal(size=(rows, P)) if case % 2 else rng.choice([-1.0, 1.0], (rows, P))
+            q0, q1, q2 = rng.normal(size=(3, kbp.size))
+            for g in ((q0,), (q0, q1, q2)):
+                fast = _accel.circle_field(theta, weights, kbp, *g)
+                slow = _circle_field_searching_every_cut(theta, weights, kbp, *g)
+                assert np.array_equal(fast, slow), (case, kind, P, kbp.size, len(g))
+            reached = {"U = 1": np.unique(theta).size == 1, "phase 0": 0.0 in theta,
+                       "kbp = [0]": kbp.size == 1, "6 segments": kbp.size == 6, "6 rows": rows == 6}
+            seen.update(name for name, hit in reached.items() if hit)
+        assert seen == set(reached)
+
+
 def _lexicographic_scan(row, n, k, tie_tol, chunk=4096):
     """Reference search: every k-subset in lexicographic order, scored by the
     same sum in the same order, replacing the incumbent only when better by

@@ -91,3 +91,31 @@ def test_side_mixing_source_trees_is_refused(tmp_path):
     assert f"source_sha256 {'b' * 64} in 2 files" in message
     _write_side(tmp_path / "one", [0.5] * 3, [0.1] * 3, [40.0] * 3, source="a" * 64)
     assert bench_record.read_side(tmp_path / "one")["source_sha256"] == "a" * 64
+
+
+def test_fast_median_sees_through_two_machine_states(tmp_path):
+    # both sides run in a fast (~0.22 s) and a slow (~0.35 s) state; the
+    # parent hit the fast one 6 times of 10, the change 4 times
+    fast = [0.220, 0.221, 0.219, 0.222, 0.218, 0.220]
+    slow = [0.350, 0.352, 0.348, 0.351, 0.349, 0.350]
+    parent, change = fast + slow[:4], fast[:4] + slow
+    _write_side(tmp_path / "parent", parent, [0.10] * 10, [40.0] * 10)
+    _write_side(tmp_path / "change", change, [0.10] * 10, [40.0] * 10)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--side", f"parent={tmp_path / 'parent'}",
+                              "--side", f"change={tmp_path / 'change'}", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    summaries = [record["sides"][s]["workloads"]["cell"]["summary"]["wall_s"]
+                 for s in ("parent", "change")]
+    assert summaries[1]["median"] / summaries[0]["median"] == pytest.approx(1.5, abs=0.1)
+    # the better half of either side is the fast state
+    assert summaries[0]["fast_median"] == pytest.approx(0.220, rel=0.01)
+    assert summaries[1]["fast_median"] == pytest.approx(0.220, rel=0.01)
+    wall = record["verdict"]["workloads"]["cell"]["wall_s"]
+    assert wall["parent_fast_median"] == summaries[0]["fast_median"]
+    assert wall["fast_median"] == summaries[1]["fast_median"]
+    # a diagnostic only: the plain medians still decide the verdict
+    assert wall["worse_than_bound"]
+    # for a higher-is-better metric the better half is the upper one
+    v = bench_record.metric_verdict([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 9.0], "higher", 0.05)
+    assert v["parent_fast_median"] == 3.5 and v["fast_median"] == 6.0

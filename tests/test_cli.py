@@ -407,6 +407,72 @@ class TestPerCommandFields:
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
+def _option_table(parser):
+    return [(a.option_strings, a.dest, a.choices, a.help) for a in parser._actions]
+
+
+class TestTrimmedParser:
+    """build_parser(name) is the full parser cut down to one command."""
+
+    @pytest.mark.parametrize("command", REPORTS)
+    def test_subparser_and_usage_equal_the_full_parsers(self, command):
+        full, trimmed = cli.build_parser(), cli.build_parser(command)
+        (action,) = [a for a in trimmed._actions if a.dest == "command"]
+        assert list(action.choices) == [command]
+        one, every = action.choices[command], _subparsers()[command]
+        assert _option_table(one) == _option_table(every)
+        assert one.format_help() == every.format_help()
+        # the usage line still names all nine commands
+        assert trimmed.format_usage() == full.format_usage()
+        assert all(name in full.format_usage() for name in REPORTS)
+
+    def test_dispatch_builds_one_commands_parser_with_the_full_usage(self, monkeypatch, capsys):
+        argv = ["energy", "--eps-grid", "1"]
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        full_err = capsys.readouterr().err
+        assert "unrecognized arguments: --eps-grid 1" in full_err
+        built = []
+        build = cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == full_err
+        for other in (["--help"], [], ["ener"]):
+            dispatch(other)
+        capsys.readouterr()
+        assert built == ["energy", None, None, None]
+
+
+class TestThreadCount:
+    """A thread count below 1 is refused before any work."""
+
+    def test_make_pmap_refuses_fewer_than_one_thread(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                util.make_pmap(threads)
+        assert util.make_pmap(1) is util.serial_map
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", [["gamma-table"], ["gamma-limit", "--eps-grid", "0.25"]],
+                             ids=lambda v: v[0])
+    def test_refused_before_any_work(self, tmp_path, capsys, command, source, threads):
+        if source == "flag":
+            given = ["--threads", str(threads)]
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"threads": threads}))
+            given = ["--config", str(cfg)]
+        assert dispatch(command + given + ["--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: threads must be at least 1\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestCertificateCommands:
     def test_non_rep_default_confirmed(self, tmp_path):
         rc = dispatch(["non-rep", "--eps-grid", "0.125,0.0625,0.03125", "--output-dir", str(tmp_path)])

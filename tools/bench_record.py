@@ -13,8 +13,9 @@ change's checkout:
 The record holds, per side: the commit (null for an uncommitted tree), the
 sha256 of its sources, nproc and the Python and numpy versions; per workload,
 every untraced run's seed, passes, ``wall_s``, ``setup_s``, ``peak_rss_mb``
-and ``failed_frac`` with their medians and quartiles; and the per-layer
-metrics of every traced run. With two sides, ``verdict`` holds, per workload
+and ``failed_frac`` with their medians, quartiles and ``fast_median``, the
+median of the better half of the runs; and the per-layer metrics of every
+traced run. With two sides, ``verdict`` holds, per workload
 and end-to-end metric of BENCHMARK.json (which is only read), over the seeds
 run on both sides:
 
@@ -28,6 +29,10 @@ run on both sides:
   metric's relative bound, so that a shift within the bound cannot be told
   from noise, unless every run of the second side is better than every run
   of the first.
+
+Each verdict also gives both sides' ``fast_median`` (``fast_median``,
+``parent_fast_median``). It is a diagnostic for runs that fall into a fast
+and a slow state of the machine, and decides none of the fields above.
 """
 
 from __future__ import annotations
@@ -42,12 +47,16 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mb", "failed_frac")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def summary(values):
+def summary(values, better="lower"):
     if len(values) == 1:
         q1 = med = q3 = values[0]
     else:
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
+    # runs of one side can fall into a fast and a slow state of the machine;
+    # the median of the better half compares the fast states of two sides
+    ranked = sorted(values, reverse=better == "higher")
+    fast = statistics.median(ranked[:(len(ranked) + 1) // 2])
+    return {"median": med, "q1": q1, "q3": q3, "fast_median": fast}
 
 
 def read_side(root: Path) -> dict:
@@ -82,7 +91,7 @@ def read_side(root: Path) -> dict:
 def metric_verdict(base_runs, other_runs, better: str, bound: float) -> dict:
     """The claim verdict of one metric over runs paired by position."""
     sign = 1.0 if better == "lower" else -1.0
-    base, other = summary(base_runs), summary(other_runs)
+    base, other = summary(base_runs, better), summary(other_runs, better)
     wins = sum(sign * (b - a) < 0 for a, b in zip(base_runs, other_runs))
     gain = sign * (base["median"] - other["median"])
     iqr = base["q3"] - base["q1"]
@@ -90,6 +99,8 @@ def metric_verdict(base_runs, other_runs, better: str, bound: float) -> dict:
     return {
         "median": other["median"],
         "parent_median": base["median"],
+        "fast_median": other["fast_median"],
+        "parent_fast_median": base["fast_median"],
         "parent_iqr": iqr,
         "wins": wins,
         "wins_9_of_10": 10 * wins >= 9 * len(base_runs),
