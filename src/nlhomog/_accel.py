@@ -45,12 +45,15 @@ The L^2 level-pair terms are added with ``math.fsum``, so the result does not
 depend on the order of the levels, nor on the other matrices of a stack.
 
 ``brute_force_search`` scores one k-subset per rotation class of the cell
-grid, streamed in blocks by ``necklace_gaps`` in lexicographic order, so its
-memory is O(``SEARCH_CHUNK`` * k * min(k, ``STEP_DEPTH``)) for any number of
-classes. Every kernel here is plain numpy and Python; numba is used
-nowhere. ``HAVE_NUMBA`` (numba importable) and ``USE_NUMBA`` (always False)
-select no code path and read no environment variable: they are kept only
-because benchmark reports record them.
+grid, streamed in blocks by ``necklace_gaps`` in lexicographic order. The
+generator walks the prenecklace tree depth first, on one stack of blocks of
+prefixes, and builds only prefixes that a bound on the later gaps leaves
+able to finish a necklace, so its memory is O(``SEARCH_CHUNK`` * k *
+min(k, ``STEP_DEPTH``)) for any number of classes. Every kernel here is
+plain numpy and Python; numba is used nowhere. ``HAVE_NUMBA`` (numba
+importable) and ``USE_NUMBA`` (always False) select no code path and read no
+environment variable: they are kept only because benchmark reports record
+them.
 """
 
 from __future__ import annotations
@@ -202,18 +205,29 @@ def necklace_gaps(n, k):
     gap sequence is the smallest of the k rotations of that sequence, i.e. a
     necklace. The FKM tree (Ruskey & Sawada, SIAM J. Comput. 1999) builds
     prenecklaces by ``g_t >= g_{t-p}``, where the period p resets to t when
-    g_t grows; every gap is at least g_1, which bounds each g_t, and the
-    last gap is forced to n minus the others.
+    g_t grows; the last gap is forced to n minus the others.
 
-    The tree is expanded in numpy, a group of parents of one level at a
-    time: each parent's children are a ramp of values from g_{t-p}, laid out
-    by ``np.repeat``, so children listed parent by parent stay in
-    lexicographic order. Every level keeps a queue of prefixes waiting to be
-    expanded; the deepest level with a full group (children for one step, or
-    all that its parents will give) is expanded next, so queues stay short
-    and steps full. A step builds at most SEARCH_CHUNK children, fewer past
-    depth STEP_DEPTH so that it holds at most SEARCH_CHUNK * STEP_DEPTH gaps
-    (a single parent may have up to n children): memory is
+    Every gap is at least g_1, and no prefix is built that the gaps still to
+    come cannot complete. Let R be the length of the first run of g_1 and
+    suppose a gap above g_1 has come. Two facts hold for a necklace: no later
+    run of g_1 is longer than R, and it does not end in g_1; in either case
+    a rotation would start with R + 1 copies of g_1 and so be smaller. The m
+    gaps still to come thus hold no run of more than R copies of g_1 and end
+    above g_1, so at least ceil(m / (R + 1)) of them exceed g_1 and they sum
+    to at least m g_1 + ceil(m / (R + 1)). A prefix g_1..g_t that is all g_1
+    may go on with g_1 under the plain bound m g_1; a larger value makes
+    R = t.
+
+    The tree is expanded in numpy, a group of parents at a time: each
+    parent's children are a ramp of values from g_{t-p}, laid out by
+    ``np.repeat``, so children listed parent by parent stay in lexicographic
+    order. Parents wait on one depth-first stack of blocks, at most one per
+    depth, the deepest on top. A step pops the top block and expands its
+    first parents, at least one and as many as give at most SEARCH_CHUNK
+    children, fewer past depth STEP_DEPTH so that a step holds at most
+    SEARCH_CHUNK * STEP_DEPTH gaps (a single parent may have up to n
+    children). It pushes the other parents back, then the children that
+    have a child of their own on top, so memory is
     O(SEARCH_CHUNK * k * min(k, STEP_DEPTH)). Necklaces are passed on in
     blocks of SEARCH_CHUNK rows, the last one shorter. Gaps are int16, or
     int32 from n = 2^15. Needs 1 <= k <= n.
@@ -222,55 +236,41 @@ def necklace_gaps(n, k):
     if k == 1:
         yield np.full((1, 1), n, dtype=dtype)
         return
-    # queue[t]: prefixes g_1..g_t with at least one child, in lexicographic
-    # order, as (gaps, sum, period, first value of g_{t+1}, number of values
-    # of g_{t+1}); the empty prefix's g_1 runs from 1 to n // k
+    # each block holds prefixes g_1..g_t in lexicographic order, as (gaps,
+    # sum, period, length of the first run of g_1, first value of g_{t+1},
+    # number of values of g_{t+1}); the empty prefix's g_1 runs from 1 to n // k
     one = np.ones(1, dtype=dtype)
-    queue = [(np.zeros((1, 0), dtype=dtype), one - 1, one, one, one * (n // k))]
-    queue += [None] * (k - 2)
-    waiting = [n // k] + [0] * (k - 2)  # children the queued prefixes will give
-    closed = [True] + [False] * (k - 2)  # no more prefixes will arrive
+    stack = [(np.zeros((1, 0), dtype=dtype), one - 1, one, one - 1, one, one * (n // k))]
     held, rows = [], 0  # necklaces not yet passed on
-    t = 0
-    while True:
+    while stack:
+        G, S, P, R, start, cnt = stack.pop()
+        t = G.shape[1]
         limit = max(SEARCH_CHUNK * STEP_DEPTH // max(t + 1, STEP_DEPTH), 1)
-        if not closed[t] and waiting[t] < limit:
-            t -= 1  # expand more parents first
-            continue
-        if queue[t] is None:
-            if t == k - 2:
-                break
-            closed[t + 1] = True
-            t += 1
-            continue
-        G, S, P, start, cnt = queue[t]
         cum = np.cumsum(cnt)
         m = max(int(np.searchsorted(cum, limit, side="right")), 1)
-        queue[t] = None if m == cnt.size else (G[m:], S[m:], P[m:], start[m:], cnt[m:])
-        waiting[t] -= int(cum[m - 1])
-        G, S, P, start, cnt = G[:m], S[:m], P[:m], start[:m], cnt[:m]
-        rep = np.repeat(np.arange(m), cnt)
-        ramp = np.arange(rep.size) - np.repeat(cum[:m] - cnt, cnt)
+        if m < cnt.size:
+            stack.append(tuple(a[m:] for a in (G, S, P, R, start, cnt)))
+        rep = np.repeat(np.arange(m), cnt[:m])
+        ramp = np.arange(rep.size) - np.repeat(cum[:m] - cnt[:m], cnt[:m])
         v = start[rep] + ramp
         child = np.empty((rep.size, t + 1), dtype=dtype)
         child[:, :-1] = G[rep]
         child[:, -1] = v
         S = S[rep] + v
         P = np.where(ramp == 0, P[rep], t + 1)  # g_{t+1} = g_{t+1-p} keeps the period
+        R = R[rep] + ((R[rep] == t) & (v == child[:, 0]))
         del G, rep, ramp, v, start, cnt, cum
         if t + 1 < k - 1:
-            # g_{t+2} runs from g_{t+2-p} to what leaves g_1 for each later gap
+            # g_{t+2} runs from g_{t+2-p} to what leaves the later gaps their bound
             start = child[np.arange(child.shape[0]), t + 1 - P].astype(np.intp)
-            cnt = np.maximum(n - S - (k - t - 2) * child[:, 0] - start + 1, 0)
+            later = k - t - 2
+            top = n - S - later * child[:, 0].astype(np.intp)
+            cnt = top - (later + R) // (R + 1) - start + 1
+            cnt = np.maximum(cnt, (R == t + 1) & (top >= start))  # all g_1: plain bound
             live = cnt > 0
-            # every entry is at most n: the queue holds them in the gap dtype
-            new = tuple(a[live].astype(dtype) for a in (child, S, P, start, cnt))
-            if queue[t + 1] is not None:
-                new = tuple(np.concatenate(pair) for pair in zip(queue[t + 1], new))
-            if new[0].shape[0]:
-                queue[t + 1] = new
-                waiting[t + 1] += int(np.sum(cnt))
-            t += 1
+            if np.any(live):
+                # every entry is at most n: the stack holds them in the gap dtype
+                stack.append(tuple(a[live].astype(dtype) for a in (child, S, P, R, start, cnt)))
             continue
         # the last gap is forced; keep the sequences that are necklaces
         last = n - S

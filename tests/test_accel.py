@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -378,11 +379,25 @@ class TestSubsetSearch:
     def test_small_chunks_match_fkm_reference(self, monkeypatch, chunk):
         monkeypatch.setattr(_accel, "SEARCH_CHUNK", chunk)
         # n = 200, k = 3: the root alone has 66 children, well above the chunk;
-        # k = 20 runs past STEP_DEPTH, where steps build fewer children
+        # k = 20 runs past STEP_DEPTH, where steps build fewer children;
+        # the last four are deep trees where the run bound prunes prefixes
         cases = [(n, k) for n in range(1, 15) for k in range(1, n + 1)]
-        for n, k in cases + [(200, 3), (37, 5), (24, 20)]:
+        for n, k in cases + [(200, 3), (37, 5), (24, 20), (30, 26), (40, 37), (26, 20), (60, 57)]:
             got = np.concatenate(_necklace_blocks(n, k)).ravel()
             assert np.array_equal(got, np.array(_fkm_reference(n, k))), (chunk, n, k)
+
+    def test_dead_prefixes_are_not_walked(self):
+        # k = n - 2 has 150 classes, but the prenecklace tree bounded only by
+        # g_1 builds ~2e6 prefixes, nearly all of which cannot finish a
+        # necklace; holding them takes ~30 MB
+        tracemalloc.start()
+        try:
+            rows = sum(b.shape[0] for b in _accel.necklace_gaps(300, 298))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 150
+        assert peak < 4 * 2**20
 
     def test_representatives_are_smallest_rotations_in_order(self):
         for n in range(1, 15):
