@@ -49,7 +49,13 @@ grid, streamed in blocks by ``necklace_gaps`` in lexicographic order. The
 generator walks the prenecklace tree depth first, on one stack of blocks of
 prefixes, and builds only prefixes that a bound on the later gaps leaves
 able to finish a necklace, so its memory is O(``SEARCH_CHUNK`` * k *
-min(k, ``STEP_DEPTH``)) for any number of classes. Every kernel here is
+min(k, ``STEP_DEPTH``)) for any number of classes. The representatives
+depend only on (n, k), never on the weight, so the search keeps each
+(n, k)'s cell positions in a memo whose budget, ``MEMO_POSITIONS``, counts
+the positions held over all keys: an enumeration larger than the budget is
+never kept, and one that would push the memo past it first empties the
+memo. A later search on a kept grid only scores; the memo holds nothing
+that depends on the weight and changes no result. Every kernel here is
 plain numpy and Python; numba is used nowhere. ``HAVE_NUMBA`` (numba
 importable) and ``USE_NUMBA`` (always False) select no code path and read no
 environment variable: they are kept only because benchmark reports record
@@ -60,6 +66,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import threading
 
 import numpy as np
 
@@ -288,27 +295,70 @@ def necklace_gaps(n, k):
         yield np.concatenate(held)
 
 
+MEMO_POSITIONS = 2**20  # cell positions the search memo holds over all (n, k): 2 MB at int16
+_memo = {}  # (n, k) -> the representatives' positions, a tuple of read-only blocks
+_memo_lock = threading.Lock()
+
+
+def _positions(n, k):
+    """The cell positions {0, g_1, g_1 + g_2, ...} of the representatives
+    of ``necklace_gaps``, in its blocks and order, in its gap dtype.
+
+    Served from the memo when (n, k) is kept there. Otherwise the
+    enumeration streams and is kept once it has run to its end, if it holds
+    at most ``MEMO_POSITIONS`` positions; one that cannot fit (at least
+    C(n, k) / n classes of k positions each) holds nothing while it streams.
+    A kept enumeration that would push the memo past ``MEMO_POSITIONS``
+    empties it first.
+    """
+    kept = _memo.get((n, k))
+    if kept is not None:
+        yield from kept
+        return
+    blocks = [] if math.comb(n, k) * k <= n * MEMO_POSITIONS else None
+    size = 0
+    for gaps in necklace_gaps(n, k):
+        idx = np.zeros_like(gaps)
+        np.cumsum(gaps[:, :-1], axis=1, out=idx[:, 1:])
+        if blocks is not None:
+            size += idx.size
+            if size > MEMO_POSITIONS:
+                blocks = None
+            else:
+                idx.flags.writeable = False
+                blocks.append(idx)
+        yield idx
+    if blocks is not None:
+        with _memo_lock:
+            if (n, k) not in _memo:
+                if size + sum(b.size for v in _memo.values() for b in v) > MEMO_POSITIONS:
+                    _memo.clear()
+                _memo[n, k] = tuple(blocks)
+
+
 def brute_force_search(row, n, k, tie_tol):
     """Minimize s(S) over k-subsets of Z_n, one subset per rotation class.
 
-    Representatives stream in from ``necklace_gaps`` in lexicographic order,
-    a block at a time, so memory stays O(SEARCH_CHUNK * k * min(k,
-    STEP_DEPTH)) however many classes there are. Each is scored with the same sum, in the same order,
-    as a scan of all subsets would use (``row2[n - i_a + i_b]`` with
+    Representatives come from ``necklace_gaps`` in lexicographic order, a
+    block at a time, as cell positions: from the memo when an earlier search
+    kept this (n, k), else streamed, so that memory stays O(SEARCH_CHUNK * k
+    * min(k, STEP_DEPTH)) however many classes there are, besides the memo
+    and an enumeration collected for it, at most ``MEMO_POSITIONS``
+    positions each. Each is scored with the same sum, in the same order, as
+    a scan of all subsets would use (``row2[n - i_a + i_b]`` with
     ``row2 = row`` repeated twice is ``row[(i_b - i_a) mod n]``); a subset
     replaces the incumbent only when it is better by more than tie_tol. A
     later rotation of a class is a plain shift, whose sum is bit-identical,
     or a wrapped one, which differs only by rounding, so neither could
-    replace it: the result equals that of the full lexicographic scan.
+    replace it: the result equals that of the full lexicographic scan,
+    whether or not the positions came from the memo.
     """
     if k == 0:
         return 0.0, np.zeros(0, dtype=np.int64)
     row2 = np.concatenate([row, row])
     best = np.inf
     best_idx = np.arange(k)
-    for gaps in necklace_gaps(n, k):
-        idx = np.zeros(gaps.shape, dtype=np.int32)
-        np.cumsum(gaps[:, :-1], axis=1, out=idx[:, 1:])
+    for idx in _positions(n, k):
         s = np.zeros(idx.shape[0])
         for a in range(k):
             base = n - idx[:, a].astype(np.intp)

@@ -359,7 +359,12 @@ def solve_brute_force(
     keep the subset seen first. Energy and minimizer are those of a scan over all k-subsets
     in lexicographic order; the minimizer is reported in its canonical
     (smallest) rotation. ``iterations`` is C(n, k_ones), the number of
-    subsets covered, not the number scored.
+    subsets covered, not the number scored. The representatives depend only
+    on (n, k_ones): ``_accel`` keeps their cell positions in a memo keyed by
+    (n, k_ones), so a later search on the same grid, with any weight, only
+    scores. The memo holds at most ``_accel.MEMO_POSITIONS`` positions over
+    all keys, keeps no enumeration larger than that, empties itself before
+    one would push it past that, and changes no result.
     mode "arcs_only" restricts to contiguous cyclic runs (capped at
     BRUTE_FORCE_CAP offsets k_ones^2). Every rotation of an arc gives the
     same offsets (j - i) mod n, hence the same sum, so only the arc at cell 0

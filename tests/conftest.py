@@ -1,6 +1,7 @@
 import pytest
 
 import nlhomog as nl
+from nlhomog import _accel
 from nlhomog.cell import build_cell_matrix, solve_brute_force
 
 
@@ -15,3 +16,9 @@ def warm_jit():
     nl.evaluate_quadrature(u, pot, k, 0.25, n=16)
     solve_brute_force(build_cell_matrix(k, 8), 3)
     yield
+
+
+@pytest.fixture(autouse=True)
+def empty_search_memo():
+    # no result or runtime budget depends on which test searched a grid first
+    _accel._memo.clear()

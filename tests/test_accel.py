@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from array import array
 
@@ -14,7 +16,7 @@ from nlhomog import (
     make_lambda_kernel,
     oscillating_profile,
 )
-from nlhomog.cell import build_cell_matrix, solve_brute_force
+from nlhomog.cell import build_cell_matrix, rotation_classes, solve_brute_force
 from nlhomog.energy import _level_structure, evaluate, evaluate_quadrature, rect_integral
 
 
@@ -419,7 +421,12 @@ class TestSubsetSearch:
         energy, idx = _accel.brute_force_search(row, n, 1, 1e-12)
         assert energy == row[0] and idx.tolist() == [0]
 
-    def test_solve_brute_force_matches_lexicographic_scan_bit_for_bit(self):
+    @pytest.mark.parametrize("budget", [0, _accel.MEMO_POSITIONS], ids=["cold", "warm"])
+    def test_solve_brute_force_matches_lexicographic_scan_bit_for_bit(self, monkeypatch, budget):
+        # budget 0 keeps nothing, so every search streams its classes; the
+        # default keeps each (n, k), so the kernels after the first on a grid
+        # score positions from the memo
+        monkeypatch.setattr(_accel, "MEMO_POSITIONS", budget)
         # tie kernels (alpha, beta in {1, 2}, lam in {1/4, 1/2}: many exactly
         # equal sums) at n = 16, then random multi-segment kernels at n <= 16
         kernels = [(make_lambda_kernel(a, b, lam), 16)
@@ -440,3 +447,88 @@ class TestSubsetSearch:
                 assert res.energy == float(2.0 * J - 2.0 * K.abar * t + K.abar), (n, k)
                 assert res.extras["indices"] == np.sort(idx).tolist(), (n, k)
                 assert res.iterations == math.comb(n, k)
+        assert bool(_accel._memo) == bool(budget)
+
+    # positions (classes * k): (12, 6) 480, (10, 5) 130, (12, 4) 172,
+    # (13, 6) 792 and (11, 5) 210 fit the budget below. (14, 7) has 1722: its
+    # lower bound C(14, 7) / 14 * 7 = 1716 fits, so it is collected and then
+    # dropped at its last block of 16 rows; (16, 8) has 6480, which its
+    # bound already rules out
+    MEMO_CASES = [(12, 6), (10, 5), (14, 7), (12, 4), (12, 6), (13, 6), (16, 8), (11, 5),
+                  (12, 6)]
+    MEMO_BUDGET = 1720
+
+    def _memo_rows_and_results(self, monkeypatch):
+        """One random row per n, and each case's result with nothing kept."""
+        monkeypatch.setattr(_accel, "MEMO_POSITIONS", 0)
+        rng = np.random.default_rng(20261020)
+        rows = {n: rng.standard_normal(n) for n in range(10, 17)}
+        results = [_accel.brute_force_search(rows[n], n, k, 1e-12) for n, k in self.MEMO_CASES]
+        assert not _accel._memo
+        monkeypatch.setattr(_accel, "MEMO_POSITIONS", self.MEMO_BUDGET)
+        return rows, results
+
+    def test_memo_holds_at_most_its_budget(self, monkeypatch):
+        monkeypatch.setattr(_accel, "SEARCH_CHUNK", 16)
+        rows, expected = self._memo_rows_and_results(monkeypatch)
+        streamed = []
+        real = _accel.necklace_gaps
+        monkeypatch.setattr(_accel, "necklace_gaps",
+                            lambda n, k: streamed.append((n, k)) or real(n, k))
+        kept = []
+        for (n, k), (energy, idx) in zip(self.MEMO_CASES, expected):
+            got_energy, got_idx = _accel.brute_force_search(rows[n], n, k, 1e-12)
+            assert got_energy == energy and np.array_equal(got_idx, idx), (n, k)
+            held = {key: sum(b.size for b in v) for key, v in _accel._memo.items()}
+            assert sum(held.values()) <= self.MEMO_BUDGET, (n, k)
+            size = rotation_classes(n, k) * k
+            assert ((n, k) in held) == (size <= self.MEMO_BUDGET), (n, k)
+            if (n, k) in held:
+                assert held[n, k] == size
+            kept.append(sorted(held))
+        assert streamed == [(12, 6), (10, 5), (14, 7), (12, 4), (13, 6), (16, 8), (11, 5),
+                            (12, 6)]
+        # (11, 5) would push the memo to 1784 positions: it is emptied first
+        assert kept[-3:] == [[(10, 5), (12, 4), (12, 6), (13, 6)], [(11, 5)], [(11, 5), (12, 6)]]
+
+    def test_enumeration_that_cannot_fit_streams(self):
+        # C(24, 12) / 24 * 12 = 1.35e6 positions bound the enumeration below,
+        # over the default budget: nothing is collected for the memo, so the
+        # search's peak stays below the budget's own 2 MiB
+        row = np.random.default_rng(20261020).standard_normal(24)
+        tracemalloc.start()
+        try:
+            _accel.brute_force_search(row, 24, 12, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not _accel._memo
+        assert peak < 2 * _accel.MEMO_POSITIONS
+
+    def test_memo_is_safe_under_concurrent_searches(self, monkeypatch):
+        monkeypatch.setattr(_accel, "SEARCH_CHUNK", 16)
+        rows, expected = self._memo_rows_and_results(monkeypatch)
+        failures = []
+
+        def search(offset):
+            for r in range(3):
+                for i in range(len(self.MEMO_CASES)):
+                    j = (i + offset + r) % len(self.MEMO_CASES)
+                    n, k = self.MEMO_CASES[j]
+                    energy, idx = _accel.brute_force_search(rows[n], n, k, 1e-12)
+                    if energy != expected[j][0] or not np.array_equal(idx, expected[j][1]):
+                        failures.append((n, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert sum(b.size for v in _accel._memo.values() for b in v) <= self.MEMO_BUDGET
