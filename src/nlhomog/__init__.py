@@ -44,5 +44,6 @@ from .gammalab import (
     two_scale_pairing,
 )
 from .util import ArgumentRangeError, ResourceLimitError
+from . import _accel  # perfbench reads nlhomog._accel
 
 __version__ = "0.1.0"

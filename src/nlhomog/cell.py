@@ -26,6 +26,7 @@ any work.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _accel, util
+from . import util
 from .energy import rect_integral
 from .kernel import PeriodicStepKernel, check_lambda_parameters, lambda_weight_mean
 from .states import Arc
@@ -299,6 +300,187 @@ def rotation_classes(n: int, k: int) -> int:
     return sum(p * math.comb(n // d, k // d) for p, d in zip(phi, divisors)) // n
 
 
+# ---------------------------------------------------------------------------
+# exhaustive subset search over the circulant quadratic form
+#
+# s(S) = sum_{i,j in S} row[(j-i) mod n] is invariant under rotating S, so
+# only one subset per rotation class is scored: the lexicographically
+# smallest rotation, which contains cell 0. Listed in lexicographic order,
+# these representatives are exactly the subsets at which a scan of all
+# k-subsets in lexicographic order first meets each class.
+# ---------------------------------------------------------------------------
+
+SEARCH_CHUNK = 4096  # rows per block of necklace_gaps, children per expansion step
+STEP_DEPTH = 16  # deeper steps build fewer children: at most SEARCH_CHUNK * STEP_DEPTH gaps
+
+
+def necklace_gaps(n, k):
+    """Gap sequences of the k-subsets of Z_n that are lexicographically
+    smallest among their rotations, in lexicographic order, as a stream of
+    (m, k) blocks.
+
+    The subset {0, g_1, g_1 + g_2, ...} has cyclic gaps g_1..g_k (each >= 1,
+    summing to n); it is the smallest rotation of its class exactly when its
+    gap sequence is the smallest of the k rotations of that sequence, i.e. a
+    necklace. The FKM tree (Ruskey & Sawada, SIAM J. Comput. 1999) builds
+    prenecklaces by ``g_t >= g_{t-p}``, where the period p resets to t when
+    g_t grows; the last gap is forced to n minus the others.
+
+    Every gap is at least g_1, and no prefix is built that the gaps still to
+    come cannot complete. Let R be the length of the first run of g_1 and
+    suppose a gap above g_1 has come. Two facts hold for a necklace: no later
+    run of g_1 is longer than R, and it does not end in g_1; in either case
+    a rotation would start with R + 1 copies of g_1 and so be smaller. The m
+    gaps still to come thus hold no run of more than R copies of g_1 and end
+    above g_1, so at least ceil(m / (R + 1)) of them exceed g_1 and they sum
+    to at least m g_1 + ceil(m / (R + 1)). A prefix g_1..g_t that is all g_1
+    may go on with g_1 under the plain bound m g_1; a larger value makes
+    R = t.
+
+    The tree is expanded in numpy, a group of parents at a time: each
+    parent's children are a ramp of values from g_{t-p}, laid out by
+    ``np.repeat``, so children listed parent by parent stay in lexicographic
+    order. Parents wait on one depth-first stack of blocks, at most one per
+    depth, the deepest on top. A step pops the top block and expands its
+    first parents, at least one and as many as give at most SEARCH_CHUNK
+    children, fewer past depth STEP_DEPTH so that a step holds at most
+    SEARCH_CHUNK * STEP_DEPTH gaps (a single parent may have up to n
+    children). It pushes the other parents back, then the children that
+    have a child of their own on top, so memory is
+    O(SEARCH_CHUNK * k * min(k, STEP_DEPTH)). Necklaces are passed on in
+    blocks of SEARCH_CHUNK rows, the last one shorter. Gaps are int16, or
+    int32 from n = 2^15. Needs 1 <= k <= n.
+    """
+    dtype = np.int16 if n < 2**15 else np.int32
+    if k == 1:
+        yield np.full((1, 1), n, dtype=dtype)
+        return
+    # each block holds prefixes g_1..g_t in lexicographic order, as (gaps,
+    # sum, period, length of the first run of g_1, first value of g_{t+1},
+    # number of values of g_{t+1}); the empty prefix's g_1 runs from 1 to n // k
+    one = np.ones(1, dtype=dtype)
+    stack = [(np.zeros((1, 0), dtype=dtype), one - 1, one, one - 1, one, one * (n // k))]
+    held, rows = [], 0  # necklaces not yet passed on
+    while stack:
+        G, S, P, R, start, cnt = stack.pop()
+        t = G.shape[1]
+        limit = max(SEARCH_CHUNK * STEP_DEPTH // max(t + 1, STEP_DEPTH), 1)
+        cum = np.cumsum(cnt)
+        m = max(int(np.searchsorted(cum, limit, side="right")), 1)
+        if m < cnt.size:
+            stack.append(tuple(a[m:] for a in (G, S, P, R, start, cnt)))
+        rep = np.repeat(np.arange(m), cnt[:m])
+        ramp = np.arange(rep.size) - np.repeat(cum[:m] - cnt[:m], cnt[:m])
+        v = start[rep] + ramp
+        child = np.empty((rep.size, t + 1), dtype=dtype)
+        child[:, :-1] = G[rep]
+        child[:, -1] = v
+        S = S[rep] + v
+        P = np.where(ramp == 0, P[rep], t + 1)  # g_{t+1} = g_{t+1-p} keeps the period
+        R = R[rep] + ((R[rep] == t) & (v == child[:, 0]))
+        del G, rep, ramp, v, start, cnt, cum
+        if t + 1 < k - 1:
+            # g_{t+2} runs from g_{t+2-p} to what leaves the later gaps their bound
+            start = child[np.arange(child.shape[0]), t + 1 - P].astype(np.intp)
+            later = k - t - 2
+            top = n - S - later * child[:, 0].astype(np.intp)
+            cnt = top - (later + R) // (R + 1) - start + 1
+            cnt = np.maximum(cnt, (R == t + 1) & (top >= start))  # all g_1: plain bound
+            live = cnt > 0
+            if np.any(live):
+                # every entry is at most n: the stack holds them in the gap dtype
+                stack.append(tuple(a[live].astype(dtype) for a in (child, S, P, R, start, cnt)))
+            continue
+        # the last gap is forced; keep the sequences that are necklaces
+        last = n - S
+        ref = child[np.arange(child.shape[0]), k - 1 - P]  # g_{k-p}
+        keep = (last > ref) | ((last == ref) & (k % P == 0))
+        held.append(np.concatenate([child[keep], last[keep, None].astype(dtype)], axis=1))
+        rows += held[-1].shape[0]
+        if rows >= SEARCH_CHUNK:
+            block = np.concatenate(held)
+            full = rows - rows % SEARCH_CHUNK
+            for lo in range(0, full, SEARCH_CHUNK):
+                yield block[lo:lo + SEARCH_CHUNK]
+            held, rows = [block[full:]], rows - full
+    if rows:
+        yield np.concatenate(held)
+
+
+MEMO_POSITIONS = 2**20  # cell positions the search memo holds over all (n, k): 2 MB at int16
+_memo = {}  # (n, k) -> the representatives' positions, a tuple of read-only blocks
+_memo_lock = threading.Lock()
+
+
+def _positions(n, k):
+    """The cell positions {0, g_1, g_1 + g_2, ...} of the representatives
+    of ``necklace_gaps``, in its blocks and order, in its gap dtype.
+
+    The representatives depend only on (n, k), never on the weight, so they
+    are kept in a memo keyed by (n, k), and a later search on a kept grid
+    only scores. The memo holds at most ``MEMO_POSITIONS`` positions over
+    all keys. A grid is admitted before its first block iff its exact size,
+    ``rotation_classes(n, k) * k`` positions, is at most ``MEMO_POSITIONS``:
+    an admitted grid is collected while it streams and kept once it has run
+    to its end, emptying the memo first if it would push the memo past
+    ``MEMO_POSITIONS``; any other grid streams and holds nothing. The memo
+    holds nothing that depends on the weight and changes no result.
+    """
+    kept = _memo.get((n, k))
+    if kept is not None:
+        yield from kept
+        return
+    size = rotation_classes(n, k) * k
+    blocks = [] if size <= MEMO_POSITIONS else None
+    for gaps in necklace_gaps(n, k):
+        idx = np.zeros_like(gaps)
+        np.cumsum(gaps[:, :-1], axis=1, out=idx[:, 1:])
+        if blocks is not None:
+            idx.flags.writeable = False
+            blocks.append(idx)
+        yield idx
+    if blocks is not None:
+        with _memo_lock:
+            if (n, k) not in _memo:
+                if size + sum(b.size for v in _memo.values() for b in v) > MEMO_POSITIONS:
+                    _memo.clear()
+                _memo[n, k] = tuple(blocks)
+
+
+def brute_force_search(row, n, k, tie_tol):
+    """Minimize s(S) over k-subsets of Z_n, one subset per rotation class.
+
+    Representatives come from ``necklace_gaps`` in lexicographic order, a
+    block at a time, as cell positions from ``_positions``, so that memory
+    stays O(SEARCH_CHUNK * k * min(k, STEP_DEPTH)) however many classes
+    there are, besides the memo and an enumeration collected for it, at most
+    ``MEMO_POSITIONS`` positions each. Each is scored with the same sum, in
+    the same order, as a scan of all subsets would use (``row2[n - i_a + i_b]`` with
+    ``row2 = row`` repeated twice is ``row[(i_b - i_a) mod n]``); a subset
+    replaces the incumbent only when it is better by more than tie_tol. A
+    later rotation of a class is a plain shift, whose sum is bit-identical,
+    or a wrapped one, which differs only by rounding, so neither could
+    replace it: the result equals that of the full lexicographic scan,
+    whether or not the positions came from the memo.
+    """
+    if k == 0:
+        return 0.0, np.zeros(0, dtype=np.int64)
+    row2 = np.concatenate([row, row])
+    best = np.inf
+    best_idx = np.arange(k)
+    for idx in _positions(n, k):
+        s = np.zeros(idx.shape[0])
+        for a in range(k):
+            base = n - idx[:, a].astype(np.intp)
+            for b in range(k):
+                s += row2[base + idx[:, b]]
+        for pos in np.nonzero(s < best - tie_tol)[0]:
+            if s[pos] < best - tie_tol:
+                best = float(s[pos])
+                best_idx = idx[pos]
+    return best, np.asarray(best_idx, dtype=np.int64)
+
+
 def enumeration_size(n: int, k_ones: int, mode: str = "all_subsets") -> int:
     """The subsets a search of mode over n cells covers: C(n, k_ones) for
     "all_subsets", the n arcs (1 when k_ones is 0) for "arcs_only". The one
@@ -360,11 +542,8 @@ def solve_brute_force(
     in lexicographic order; the minimizer is reported in its canonical
     (smallest) rotation. ``iterations`` is C(n, k_ones), the number of
     subsets covered, not the number scored. The representatives depend only
-    on (n, k_ones): ``_accel`` keeps their cell positions in a memo keyed by
-    (n, k_ones), so a later search on the same grid, with any weight, only
-    scores. The memo holds at most ``_accel.MEMO_POSITIONS`` positions over
-    all keys, keeps no enumeration larger than that, empties itself before
-    one would push it past that, and changes no result.
+    on (n, k_ones), so a later search on the same grid, with any weight,
+    reads them from the memo of ``_positions`` and only scores.
     mode "arcs_only" restricts to contiguous cyclic runs (capped at
     BRUTE_FORCE_CAP offsets k_ones^2). Every rotation of an arc gives the
     same offsets (j - i) mod n, hence the same sum, so only the arc at cell 0
@@ -376,7 +555,7 @@ def solve_brute_force(
     row = K.first_row
     if mode == "all_subsets":
         tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
-        raw, idx = _accel.brute_force_search(row, n, k_ones, tie_tol)
+        raw, idx = brute_force_search(row, n, k_ones, tie_tol)
     else:
         idx = np.arange(k_ones)
         # row i of the reversed windows of row2 = row repeated twice is

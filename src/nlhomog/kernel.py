@@ -12,7 +12,7 @@ where ``B_per`` is 1-periodic and bounded. ``table`` holds ``mean`` and
 formed. The quadratic part of the four corner terms of a rectangle
 telescopes to ``mean * area`` and the linear part to zero, so
 ``energy.rect_integral`` (four ``periodic_part`` calls) and the circle sum
-of ``_accel.pair_energy`` (the per-segment coefficients) read only ``mean``
+of ``energy.pair_energy`` (the per-segment coefficients) read only ``mean``
 and ``B_per``. That keeps the computation exact (up to roundoff) even when
 corner arguments grow like ``1/eps``; subtracting raw ``B`` values would
 lose one digit per decade of ``1/eps``. Single integrals of ``f(x/eps)`` use

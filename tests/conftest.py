@@ -1,12 +1,12 @@
 import pytest
 
 import nlhomog as nl
-from nlhomog import _accel
+from nlhomog import cell
 from nlhomog.cell import build_cell_matrix, solve_brute_force
 
 
 @pytest.fixture(scope="session", autouse=True)
-def warm_jit():
+def warm_up():
     # run every hot path once so runtime assertions measure the algorithms,
     # not first-call latency (imports, numpy and BLAS initialisation)
     k = nl.make_lambda_kernel(1.0, 2.0, 0.5)
@@ -21,4 +21,4 @@ def warm_jit():
 @pytest.fixture(autouse=True)
 def empty_search_memo():
     # no result or runtime budget depends on which test searched a grid first
-    _accel._memo.clear()
+    cell._memo.clear()

@@ -1,9 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlhomog
 from nlhomog import (
     CellProfile,
     PeriodicStepKernel,
@@ -17,8 +25,8 @@ from nlhomog import (
     solve_brute_force,
     solve_relaxed,
 )
-from nlhomog import cell, util
-from nlhomog.cell import CellKernelMatrix, _spectral_norm, is_cyclic_arc
+from nlhomog import _accel, cell, util
+from nlhomog.cell import CellKernelMatrix, _spectral_norm, is_cyclic_arc, rotation_classes
 
 
 def _dense(K):
@@ -512,11 +520,9 @@ class TestBruteForce:
             solve_brute_force(K, 20, mode="all_subsets")
 
     def test_rotation_classes_match_necklace_count(self):
-        from nlhomog._accel import necklace_gaps
-
         for n in range(1, 17):
             for k in range(1, n + 1):
-                classes = sum(b.shape[0] for b in necklace_gaps(n, k))
+                classes = sum(b.shape[0] for b in cell.necklace_gaps(n, k))
                 assert cell.rotation_classes(n, k) == classes, (n, k)
 
     def test_cap_admits_n30_k15_by_rotation_classes(self):
@@ -699,3 +705,283 @@ class TestIsCyclicArc:
         assert not is_cyclic_arc([0, 2], 8)
         assert is_cyclic_arc([], 8)
         assert is_cyclic_arc(list(range(8)), 8)
+
+
+def _random_kernel(rng):
+    nseg = int(rng.integers(1, 6))
+    inner = np.sort(rng.uniform(0.02, 0.98, nseg - 1))
+    inner = inner[np.concatenate([[True], np.diff(inner) > 1e-3])] if inner.size else inner
+    bp = np.concatenate([[0.0], inner])
+    return PeriodicStepKernel(bp, rng.uniform(0.5, 3.0, bp.size))
+
+
+def _lexicographic_scan(row, n, k, tie_tol, chunk=4096):
+    """Reference search: every k-subset in lexicographic order, scored by the
+    same sum in the same order, replacing the incumbent only when better by
+    more than tie_tol."""
+    best = np.inf
+    best_idx = np.arange(k)
+    it = itertools.combinations(range(n), k)
+    while True:
+        block = list(itertools.islice(it, chunk))
+        if not block:
+            break
+        idx = np.array(block, dtype=np.int64)
+        s = np.zeros(len(block))
+        for a in range(k):
+            for b in range(k):
+                s += row[(idx[:, b] - idx[:, a]) % n]
+        for pos in np.nonzero(s < best - tie_tol)[0]:
+            if s[pos] < best - tie_tol:
+                best = float(s[pos])
+                best_idx = idx[pos]
+    return best, np.asarray(best_idx, dtype=np.int64)
+
+
+def _fkm_reference(n, k):
+    """The FKM recursion written out one node at a time: necklace gap
+    sequences of the k-subsets of Z_n in lexicographic order, as a flat array."""
+    out = array("h" if n < 2**15 else "i")
+    if k == 1:
+        out.append(n)
+        return out
+    g = [0] * (k + 1)  # g[1..k]; g[0] = 0 lies below every gap
+    before_sum = [0] * k  # g_1 + ... + g_{t-1}, for the free positions t < k
+    before_per = [1] * k  # period of g_1..g_{t-1}
+    t = 1
+    while t:
+        v = g[t] + 1
+        limit = n // k if t == 1 else n - before_sum[t] - (k - t) * g[1]
+        if v > limit:
+            t -= 1
+            continue
+        g[t] = v
+        p = before_per[t] if v == g[t - before_per[t]] else t
+        s = before_sum[t] + v
+        if t + 1 < k:
+            t += 1
+            before_sum[t], before_per[t] = s, p
+            g[t] = g[t - p] - 1  # the first value tried at t is g[t-p]
+            continue
+        last = n - s
+        ref = g[k - p]
+        if last > ref or (last == ref and k % p == 0):
+            out.extend(g[1:k])
+            out.append(last)
+    return out
+
+
+def _necklace_blocks(n, k):
+    """The blocks necklace_gaps streams, checked for shape and size: full
+    blocks of SEARCH_CHUNK rows, the last one shorter."""
+    blocks = list(cell.necklace_gaps(n, k))
+    for i, b in enumerate(blocks):
+        assert b.ndim == 2 and b.shape[1] == k
+        assert 1 <= b.shape[0] <= cell.SEARCH_CHUNK, (n, k, b.shape)
+        assert b.shape[0] == cell.SEARCH_CHUNK or i == len(blocks) - 1, (n, k, i)
+    return blocks
+
+
+def _necklace_array(n, k):
+    return np.concatenate(_necklace_blocks(n, k))
+
+
+class TestSubsetSearch:
+    def test_blocks_match_fkm_reference(self):
+        for n in range(1, 23):
+            for k in range(1, n + 1):
+                ref = _fkm_reference(n, k)
+                got = _necklace_array(n, k)
+                assert got.dtype == np.dtype(ref.typecode), (n, k)
+                assert np.array_equal(got.ravel(), np.frombuffer(ref, dtype=ref.typecode)), (n, k)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_small_chunks_match_fkm_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(cell, "SEARCH_CHUNK", chunk)
+        # n = 200, k = 3: the root alone has 66 children, well above the chunk;
+        # k = 20 runs past STEP_DEPTH, where steps build fewer children;
+        # the last four are deep trees where the run bound prunes prefixes
+        cases = [(n, k) for n in range(1, 15) for k in range(1, n + 1)]
+        for n, k in cases + [(200, 3), (37, 5), (24, 20), (30, 26), (40, 37), (26, 20), (60, 57)]:
+            got = np.concatenate(_necklace_blocks(n, k)).ravel()
+            assert np.array_equal(got, np.array(_fkm_reference(n, k))), (chunk, n, k)
+
+    def test_dead_prefixes_are_not_walked(self):
+        # k = n - 2 has 150 classes, but the prenecklace tree bounded only by
+        # g_1 builds ~2e6 prefixes, nearly all of which cannot finish a
+        # necklace; holding them takes ~30 MB
+        tracemalloc.start()
+        try:
+            rows = sum(b.shape[0] for b in cell.necklace_gaps(300, 298))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 150
+        assert peak < 4 * 2**20
+
+    def test_representatives_are_smallest_rotations_in_order(self):
+        for n in range(1, 15):
+            for k in range(1, n + 1):
+                gaps = _necklace_array(n, k)
+                assert np.all(gaps.sum(axis=1) == n)
+                starts = np.concatenate([np.zeros((gaps.shape[0], 1), int),
+                                         np.cumsum(gaps[:, :-1], axis=1)], axis=1)
+                expected = sorted({
+                    min(tuple(sorted((x - r) % n for x in S)) for r in range(n))
+                    for S in itertools.combinations(range(n), k)
+                })
+                assert [tuple(r) for r in starts] == expected, (n, k)
+
+    def test_large_grid_single_cell(self):
+        # n beyond the 16-bit gap range (C(n, 1) = n is within the cap)
+        n = 40_000
+        row = np.cos(np.arange(n))
+        energy, idx = cell.brute_force_search(row, n, 1, 1e-12)
+        assert energy == row[0] and idx.tolist() == [0]
+
+    @pytest.mark.parametrize("budget", [0, cell.MEMO_POSITIONS], ids=["cold", "warm"])
+    def test_solve_brute_force_matches_lexicographic_scan_bit_for_bit(self, monkeypatch, budget):
+        # budget 0 keeps nothing, so every search streams its classes; the
+        # default keeps each (n, k), so the kernels after the first on a grid
+        # score positions from the memo
+        monkeypatch.setattr(cell, "MEMO_POSITIONS", budget)
+        # tie kernels (alpha, beta in {1, 2}, lam in {1/4, 1/2}: many exactly
+        # equal sums) at n = 16, then random multi-segment kernels at n <= 16
+        kernels = [(make_lambda_kernel(a, b, lam), 16)
+                   for a in (1.0, 2.0) for b in (1.0, 2.0) for lam in (0.25, 0.5)]
+        rng = np.random.default_rng(20261018)
+        for case in range(292):
+            n = int(rng.integers(14, 17)) if case % 30 == 0 else int(rng.integers(2, 13))
+            kernels.append((_random_kernel(rng), n))
+        for kern, n in kernels:
+            K = build_cell_matrix(kern, n)
+            for k in range(n + 1):
+                res = solve_brute_force(K, k)
+                tie_tol = 1e-12 * max(1.0, k * k * float(np.max(np.abs(K.first_row))))
+                raw, idx = (_lexicographic_scan(K.first_row, n, k, tie_tol) if k
+                            else (0.0, np.zeros(0, dtype=np.int64)))
+                J = raw / (n * n)
+                t = k / n
+                assert res.energy == float(2.0 * J - 2.0 * K.abar * t + K.abar), (n, k)
+                assert res.extras["indices"] == np.sort(idx).tolist(), (n, k)
+                assert res.iterations == math.comb(n, k)
+        assert bool(cell._memo) == bool(budget)
+
+    # positions (classes * k): (12, 6) 480, (10, 5) 130, (12, 4) 172,
+    # (13, 6) 792 and (11, 5) 210 fit the budget below. (14, 7) has 1722 and
+    # (16, 8) 6480, over it: both stream and collect nothing
+    MEMO_CASES = [(12, 6), (10, 5), (14, 7), (12, 4), (12, 6), (13, 6), (16, 8), (11, 5),
+                  (12, 6)]
+    MEMO_BUDGET = 1720
+
+    def _memo_rows_and_results(self, monkeypatch):
+        """One random row per n, and each case's result with nothing kept."""
+        monkeypatch.setattr(cell, "MEMO_POSITIONS", 0)
+        rng = np.random.default_rng(20261020)
+        rows = {n: rng.standard_normal(n) for n in range(10, 17)}
+        results = [cell.brute_force_search(rows[n], n, k, 1e-12) for n, k in self.MEMO_CASES]
+        assert not cell._memo
+        monkeypatch.setattr(cell, "MEMO_POSITIONS", self.MEMO_BUDGET)
+        return rows, results
+
+    def test_memo_holds_at_most_its_budget(self, monkeypatch):
+        monkeypatch.setattr(cell, "SEARCH_CHUNK", 16)
+        rows, expected = self._memo_rows_and_results(monkeypatch)
+        streamed = []
+        real = cell.necklace_gaps
+        monkeypatch.setattr(cell, "necklace_gaps",
+                            lambda n, k: streamed.append((n, k)) or real(n, k))
+        kept = []
+        for (n, k), (energy, idx) in zip(self.MEMO_CASES, expected):
+            got_energy, got_idx = cell.brute_force_search(rows[n], n, k, 1e-12)
+            assert got_energy == energy and np.array_equal(got_idx, idx), (n, k)
+            held = {key: sum(b.size for b in v) for key, v in cell._memo.items()}
+            assert sum(held.values()) <= self.MEMO_BUDGET, (n, k)
+            size = rotation_classes(n, k) * k
+            assert ((n, k) in held) == (size <= self.MEMO_BUDGET), (n, k)
+            if (n, k) in held:
+                assert held[n, k] == size
+            kept.append(sorted(held))
+        assert streamed == [(12, 6), (10, 5), (14, 7), (12, 4), (13, 6), (16, 8), (11, 5),
+                            (12, 6)]
+        # (11, 5) would push the memo to 1784 positions: it is emptied first
+        assert kept[-3:] == [[(10, 5), (12, 4), (12, 6), (13, 6)], [(11, 5)], [(11, 5), (12, 6)]]
+
+    def test_enumeration_that_cannot_fit_streams(self):
+        # C(24, 12) / 24 * 12 = 1.35e6 positions bound the enumeration below,
+        # over the default budget: nothing is collected for the memo, so the
+        # search's peak stays below the budget's own 2 MiB
+        row = np.random.default_rng(20261020).standard_normal(24)
+        tracemalloc.start()
+        try:
+            cell.brute_force_search(row, 24, 12, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not cell._memo
+        assert peak < 2 * cell.MEMO_POSITIONS
+
+    def test_grid_over_budget_by_its_exact_class_count_streams(self, monkeypatch):
+        # the budget lies between C(24, 12) / 24 * 12 = 1 352 078, which would
+        # fit, and the exact 112 720 classes * 12 = 1 352 640 positions, which
+        # do not: the grid is refused before its first block and never
+        # collected, so the peak stays below what collecting it would take
+        assert rotation_classes(24, 12) * 12 == 1_352_640
+        monkeypatch.setattr(cell, "MEMO_POSITIONS", 1_352_100)
+        row = np.random.default_rng(20261020).standard_normal(24)
+        tracemalloc.start()
+        try:
+            cell.brute_force_search(row, 24, 12, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not cell._memo
+        assert peak < 2 * 2**20
+
+    def test_memo_is_safe_under_concurrent_searches(self, monkeypatch):
+        monkeypatch.setattr(cell, "SEARCH_CHUNK", 16)
+        rows, expected = self._memo_rows_and_results(monkeypatch)
+        failures = []
+
+        def search(offset):
+            for r in range(3):
+                for i in range(len(self.MEMO_CASES)):
+                    j = (i + offset + r) % len(self.MEMO_CASES)
+                    n, k = self.MEMO_CASES[j]
+                    energy, idx = cell.brute_force_search(rows[n], n, k, 1e-12)
+                    if energy != expected[j][0] or not np.array_equal(idx, expected[j][1]):
+                        failures.append((n, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert sum(b.size for v in cell._memo.values() for b in v) <= self.MEMO_BUDGET
+
+
+class TestAccelShim:
+    """``nlhomog._accel`` only re-exports what the benchmark's tracer wraps:
+    a function defined there again would leave the traced ``accel.*`` layers
+    reading 0."""
+
+    def test_traced_names_are_the_layers_own_functions(self):
+        assert _accel.pair_energy is nlhomog.energy.pair_energy
+        assert _accel.quadrature_energy is nlhomog.energy.quadrature_energy
+        assert _accel.brute_force_search is cell.brute_force_search
+        own = [name for name, value in vars(_accel).items()
+               if callable(value) and getattr(value, "__module__", None) == "nlhomog._accel"]
+        assert own == []
+
+    def test_package_import_loads_the_shim(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", "import nlhomog; nlhomog._accel.HAVE_NUMBA"],
+                       env=env, check=True, timeout=120)
