@@ -310,7 +310,9 @@ def rotation_classes(n: int, k: int) -> int:
 # k-subsets in lexicographic order first meets each class.
 # ---------------------------------------------------------------------------
 
-SEARCH_CHUNK = 4096  # rows per block of necklace_gaps, children per expansion step
+# rows per block of necklace_gaps and children per expansion step; also the most
+# entries (rows x k) of a block that brute_force_search scores a position at a time
+SEARCH_CHUNK = 4096
 STEP_DEPTH = 16  # deeper steps build fewer children: at most SEARCH_CHUNK * STEP_DEPTH gaps
 
 
@@ -462,6 +464,18 @@ def brute_force_search(row, n, k, tie_tol):
     or a wrapped one, which differs only by rounding, so neither could
     replace it: the result equals that of the full lexicographic scan,
     whether or not the positions came from the memo.
+
+    A block of m rows is scored in one of two layouts, each adding the terms
+    in that order. When m * k <= SEARCH_CHUNK, a position a at a time: one
+    gather puts row2[n - i_a + i_b] for every b in columns 1..k of an
+    m x (k + 1) array whose column 0 holds the running sums, and a
+    cumulative sum along the row, sequential by definition, folds them in.
+    Larger blocks add one (a, b) term at a time to all m rows. Only block
+    records reach the sequential incumbent test: an earlier row q of the
+    block was taken, leaving an incumbent at most s_q, or refused, leaving
+    one at most s_q + tie_tol, so a row p can replace the incumbent only if
+    s_p is below every earlier s_q and below the block's starting incumbent
+    minus tie_tol.
     """
     if k == 0:
         return 0.0, np.zeros(0, dtype=np.int64)
@@ -469,12 +483,25 @@ def brute_force_search(row, n, k, tie_tol):
     best = np.inf
     best_idx = np.arange(k)
     for idx in _positions(n, k):
-        s = np.zeros(idx.shape[0])
-        for a in range(k):
-            base = n - idx[:, a].astype(np.intp)
-            for b in range(k):
-                s += row2[base + idx[:, b]]
-        for pos in np.nonzero(s < best - tie_tol)[0]:
+        m = idx.shape[0]
+        if m * k <= SEARCH_CHUNK:
+            at = idx.astype(np.intp)
+            base = n - at
+            terms = np.zeros((m, k + 1))
+            for a in range(k):
+                terms[:, 1:] = row2[base[:, a, None] + at]
+                np.cumsum(terms, axis=1, out=terms)
+                terms[:, 0] = terms[:, -1]
+            s = terms[:, 0]
+        else:
+            s = np.zeros(m)
+            for a in range(k):
+                base = n - idx[:, a].astype(np.intp)
+                for b in range(k):
+                    s += row2[base + idx[:, b]]
+        # the lowest sum before each row; fmin, as a NaN sum is never taken and bounds nothing
+        earlier = np.fmin.accumulate(np.concatenate([[np.inf], s[:-1]]))
+        for pos in np.nonzero((s < best - tie_tol) & (s < earlier))[0]:
             if s[pos] < best - tie_tol:
                 best = float(s[pos])
                 best_idx = idx[pos]

@@ -867,6 +867,64 @@ class TestSubsetSearch:
                 assert res.iterations == math.comb(n, k)
         assert bool(cell._memo) == bool(budget)
 
+    # dense fillings past n = 16, where a block's rows x k decides its layout:
+    # at the default chunk (40, 40), (40, 39) and (48, 46) are one block
+    # scored a position at a time, and (36, 33)'s 199 classes x 33 are scored
+    # a term at a time; at chunk 16 every block is scored a term at a time,
+    # at 2^13 every block a position at a time
+    DENSE_CASES = [(40, 40), (40, 39), (36, 33), (48, 46)]
+
+    @pytest.mark.parametrize("chunk", [16, cell.SEARCH_CHUNK, 2**13])
+    def test_dense_fillings_match_lexicographic_scan_bit_for_bit(self, monkeypatch, chunk):
+        monkeypatch.setattr(cell, "SEARCH_CHUNK", chunk)
+        rng = np.random.default_rng(20261020)
+        for n, k in self.DENSE_CASES:
+            row = rng.standard_normal(n)
+            tie_tol = 1e-12 * max(1.0, k * k * float(np.max(np.abs(row))))
+            energy, idx = cell.brute_force_search(row, n, k, tie_tol)
+            ref_energy, ref_idx = _lexicographic_scan(row, n, k, tie_tol)
+            assert energy == ref_energy and np.array_equal(idx, ref_idx), (chunk, n, k)
+
+    @pytest.mark.parametrize("chunk", [16, cell.SEARCH_CHUNK])
+    def test_block_records_within_tie_tol_are_refused(self, monkeypatch, chunk):
+        # entries 1 + 0.2 tie_tol * N(0, 1): the 810 class sums lie within a
+        # few tie_tol of each other, so some rows are the lowest of their
+        # block so far yet not lower than the incumbent by tie_tol, and a
+        # later row less than tie_tol below such a row is taken
+        monkeypatch.setattr(cell, "SEARCH_CHUNK", chunk)
+        n, k = 16, 8
+        rng = np.random.default_rng(20261020)
+        row = 1.0 + 0.2e-12 * k * k * rng.standard_normal(n)
+        tie_tol = 1e-12 * max(1.0, k * k * float(np.max(np.abs(row))))
+        best, lowest, taken, refused = np.inf, np.inf, 0, 0
+        for pos in np.concatenate(list(cell._positions(n, k))).tolist():
+            s = 0.0
+            for a in pos:
+                for b in pos:
+                    s += float(row[(b - a) % n])
+            if s < best - tie_tol:
+                best, taken = s, taken + 1
+            elif s < lowest:
+                refused += 1
+            lowest = min(lowest, s)
+        assert taken >= 2 and refused >= 1
+        energy, idx = cell.brute_force_search(row, n, k, tie_tol)
+        ref_energy, ref_idx = _lexicographic_scan(row, n, k, tie_tol)
+        assert energy == best == ref_energy and np.array_equal(idx, ref_idx)
+
+    def test_nan_sums_bound_no_later_row(self):
+        # one NaN entry makes every class that uses its offset sum to NaN; a
+        # NaN sum is never taken, so the classes after it are searched as if
+        # it were absent, also when it comes first in its block
+        rng = np.random.default_rng(20261020)
+        for n, k in [(10, 3), (12, 6)]:
+            for d in range(1, n):
+                row = rng.standard_normal(n)
+                row[d] = np.nan
+                energy, idx = cell.brute_force_search(row, n, k, 1e-12)
+                ref_energy, ref_idx = _lexicographic_scan(row, n, k, 1e-12)
+                assert energy == ref_energy and np.array_equal(idx, ref_idx), (n, k, d)
+
     # positions (classes * k): (12, 6) 480, (10, 5) 130, (12, 4) 172,
     # (13, 6) 792 and (11, 5) 210 fit the budget below. (14, 7) has 1722 and
     # (16, 8) 6480, over it: both stream and collect nothing
