@@ -17,8 +17,9 @@ sit in the cheap band, and the exhaustive search returns strictly smaller
 energies than any arc. The closed form then still reports the best-arc
 energy, which is exactly what the arcs-only search converges to. The
 exhaustive search scores one subset per rotation class, so its cap
-``BRUTE_FORCE_CAP`` counts rotation classes, not subsets. Every limit of a
-search (cell count, k_ones range, mode, both caps) is decided by
+``BRUTE_FORCE_CAP`` counts rotation classes, not subsets; the arcs-only
+search costs O(k_ones) and has no cap of its own. Every limit of a search
+(cell count, k_ones range, mode, the class cap) is decided by
 ``enumeration_size`` alone; ``solve_brute_force`` and the CLI call it before
 any work.
 """
@@ -32,15 +33,14 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import util
 from .energy import rect_integral
-from .kernel import PeriodicStepKernel, check_lambda_parameters, lambda_weight_mean
+from .kernel import PeriodicStepKernel, check_lambda_parameters, lambda_weight_mean, two_product
 from .states import Arc
 from .util import ResourceLimitError
 
-BRUTE_FORCE_CAP = 10_000_000  # all-subsets rotation classes, arcs-only k_ones^2 offsets
+BRUTE_FORCE_CAP = 10_000_000  # all-subsets rotation classes
 RELAXED_TOL = 1e-12  # solve_relaxed: largest change of one step
 RELAXED_MAX_ITER = 5000
 
@@ -311,7 +311,8 @@ def rotation_classes(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 # rows per block of necklace_gaps and children per expansion step; also the most
-# entries (rows x k) of a block that brute_force_search scores a position at a time
+# entries (rows x k) of a block of several rows that brute_force_search scores a
+# position at a time (a one-row block always is)
 SEARCH_CHUNK = 4096
 STEP_DEPTH = 16  # deeper steps build fewer children: at most SEARCH_CHUNK * STEP_DEPTH gaps
 
@@ -466,9 +467,9 @@ def brute_force_search(row, n, k, tie_tol):
     whether or not the positions came from the memo.
 
     A block of m rows is scored in one of two layouts, each adding the terms
-    in that order. When m * k <= SEARCH_CHUNK, a position a at a time: one
-    gather puts row2[n - i_a + i_b] for every b in columns 1..k of an
-    m x (k + 1) array whose column 0 holds the running sums, and a
+    in that order. When m * k <= SEARCH_CHUNK or m == 1, a position a at a
+    time: one gather puts row2[n - i_a + i_b] for every b in columns 1..k of
+    an m x (k + 1) array whose column 0 holds the running sums, and a
     cumulative sum along the row, sequential by definition, folds them in.
     Larger blocks add one (a, b) term at a time to all m rows. Only block
     records reach the sequential incumbent test: an earlier row q of the
@@ -484,7 +485,7 @@ def brute_force_search(row, n, k, tie_tol):
     best_idx = np.arange(k)
     for idx in _positions(n, k):
         m = idx.shape[0]
-        if m * k <= SEARCH_CHUNK:
+        if m * k <= SEARCH_CHUNK or m == 1:
             at = idx.astype(np.intp)
             base = n - at
             terms = np.zeros((m, k + 1))
@@ -515,22 +516,20 @@ def enumeration_size(n: int, k_ones: int, mode: str = "all_subsets") -> int:
 
     Refuses an n outside [2, ``util.MAX_INTERVALS``] by ``check_cell_count``;
     with ValueError a k_ones outside [0, n] and an unknown mode; with
-    ResourceLimitError k_ones^2 arc offsets, or all-subsets rotation classes
-    (one is scored per class), above ``BRUTE_FORCE_CAP``. The all-subsets
-    message gives both counts as powers of two, short however many digits
-    they have. A class holds at most n subsets, so C(n, k_ones)/n bounds the
-    class count below; when that bound, from ``math.lgamma``, is above twice
-    the cap, the search is refused without the exact counts, and the message
-    gives the bound rounded up to 0.1 in the exponent, which never reads
-    below the exact count's rounded exponent.
+    ResourceLimitError all-subsets rotation classes (one is scored per
+    class) above ``BRUTE_FORCE_CAP``. An arcs-only search costs O(k_ones)
+    and is refused for nothing else. The message gives both counts as powers
+    of two, short however many digits they have. A class holds at most n
+    subsets, so C(n, k_ones)/n bounds the class count below; when that
+    bound, from ``math.lgamma``, is above twice the cap, the search is
+    refused without the exact counts, and the message gives the bound
+    rounded up to 0.1 in the exponent, which never reads below the exact
+    count's rounded exponent.
     """
     check_cell_count(n)
     if not 0 <= k_ones <= n:
         raise ValueError("k_ones must lie in [0, n]")
     if mode == "arcs_only":
-        if k_ones * k_ones > BRUTE_FORCE_CAP:
-            raise ResourceLimitError(f"solve_brute_force: an arc of k_ones = {k_ones} cells sums "
-                                     f"{k_ones * k_ones} offsets, over the cap {BRUTE_FORCE_CAP}")
         return n if k_ones else 1
     if mode != "all_subsets":
         raise ValueError(f"unknown mode {mode!r}")
@@ -571,10 +570,14 @@ def solve_brute_force(
     subsets covered, not the number scored. The representatives depend only
     on (n, k_ones), so a later search on the same grid, with any weight,
     reads them from the memo of ``_positions`` and only scores.
-    mode "arcs_only" restricts to contiguous cyclic runs (capped at
-    BRUTE_FORCE_CAP offsets k_ones^2). Every rotation of an arc gives the
-    same offsets (j - i) mod n, hence the same sum, so only the arc at cell 0
-    is scored; ``iterations`` is n, the arcs covered (1 when k_ones is 0).
+    mode "arcs_only" restricts to contiguous cyclic runs. Every rotation of
+    an arc holds the same k_ones^2 entries row[(j - i) mod n], so only the
+    arc at cell 0 is scored, by the exactly rounded sum of those entries in
+    O(k_ones): the offset d = j - i in (-k_ones, k_ones) occurs k_ones - |d|
+    times, each product is split exactly by ``two_product`` and the parts
+    are added by ``math.fsum`` (Shewchuk, 1997), all in units of a power of
+    two near the largest entry. ``iterations`` is n, the arcs covered (1 when
+    k_ones is 0).
     """
     n = K.n
     iterations = enumeration_size(n, k_ones, mode)
@@ -585,12 +588,13 @@ def solve_brute_force(
         raw, idx = brute_force_search(row, n, k_ones, tie_tol)
     else:
         idx = np.arange(k_ones)
-        # row i of the reversed windows of row2 = row repeated twice is
-        # row[(j - i) mod n], j < k_ones: the offset block in C order, the
-        # summation order the rotation-scan tests pin, with no index matrix
-        row2 = np.concatenate([row, row])
-        block = sliding_window_view(row2[n - k_ones + 1:n + k_ones], k_ones)[::-1]
-        raw = float(np.sum(np.ascontiguousarray(block)))
+        d = np.arange(1 - k_ones, k_ones)
+        entries = row[d % n]
+        # scaled by a power of two into [-1, 1], exactly: two_product's split
+        # overflows above ~1.3e300
+        e = math.frexp(float(np.max(np.abs(entries), initial=0.0)))[1]
+        parts = two_product(k_ones - np.abs(d).astype(float), np.ldexp(entries, -e))
+        raw = float(np.ldexp(math.fsum(np.concatenate(parts)), e))
     values = np.zeros(n)
     values[idx] = 1.0
     energy = _assemble_energy(K, raw / (n * n), t)

@@ -53,7 +53,7 @@ def check_reduction(eps: float, reach: float) -> None:
         )
 
 
-def _two_product(a, b):
+def two_product(a, b):
     """(p, e) with p = fl(a*b) and p + e = a*b exactly: Dekker's TwoProduct with
     Veltkamp's split (Numer. Math. 1971); numpy has no fused multiply-add."""
     ca, cb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1: halves of 26 bits
@@ -129,7 +129,7 @@ class PeriodicStepFunction(StepFunction):
             # the phase of x/eps = t + r/eps, r = x - t*eps exactly: t alone
             # may round an end next to a jump of f onto the jump or across it
             t = x / eps
-            p, e = _two_product(t, eps)
+            p, e = two_product(t, eps)
             idx, du = self._locate((t - np.floor(t)) + ((x - p) - e) / eps)
             return self.table.q1[idx] + 2.0 * du * self.table.q2[idx]
 

@@ -36,9 +36,10 @@ def _dense(K):
 
 
 def _all_rotation_arcs(K, k_ones):
-    """Slow oracle of the arcs-only search: score the arc at every rotation,
-    keep a rotation only when it is lower by more than the tie tolerance.
-    Returns (energy, sorted indices, iterations)."""
+    """Slow oracle of the arcs-only search: score the arc at every rotation
+    by the exactly rounded sum of its k_ones^2 entries, keep a rotation only
+    when it is lower by more than the tie tolerance. Returns (energy, sorted
+    indices, iterations)."""
     n, row = K.n, K.first_row
     tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
     raw, idx = math.inf, np.zeros(0, dtype=np.int64)
@@ -48,7 +49,7 @@ def _all_rotation_arcs(K, k_ones):
         for r in range(n):
             cand = (r + np.arange(k_ones)) % n
             d = (cand[None, :] - cand[:, None]) % n
-            s = float(np.sum(row[d]))
+            s = math.fsum(row[d].ravel())
             if s < raw - tie_tol:
                 raw, idx = s, cand
     t = k_ones / n
@@ -581,15 +582,18 @@ class TestBruteForce:
         assert cell.enumeration_size(16, 5, "arcs_only") == 16
         assert cell.enumeration_size(16, 0, "arcs_only") == 1
 
-    def test_arcs_only_search_over_cap_refused_by_the_library(self, monkeypatch):
-        K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 16)
-        monkeypatch.setattr(cell, "BRUTE_FORCE_CAP", 15)
-        assert solve_brute_force(K, 3, mode="arcs_only").iterations == 16
-        with pytest.raises(ResourceLimitError) as err:
-            solve_brute_force(K, 4, mode="arcs_only")
-        assert str(err.value) == (
-            "solve_brute_force: an arc of k_ones = 4 cells sums 16 offsets, over the cap 15"
-        )
+    def test_arcs_only_has_no_cap_of_its_own(self):
+        # an arc is scored in O(k_ones): 3163^2 offsets, over the class cap,
+        # and the largest grid are admitted
+        assert 3163 * 3163 > cell.BRUTE_FORCE_CAP
+        assert cell.enumeration_size(50_000, 3163, "arcs_only") == 50_000
+        big = util.MAX_INTERVALS
+        assert cell.enumeration_size(big, big, "arcs_only") == big
+        K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 50_000)
+        res = solve_brute_force(K, 3163, mode="arcs_only")
+        assert res.iterations == 50_000
+        assert res.extras["indices"] == list(range(3163))
+        assert res.energy == pytest.approx(gamma_closed_form(1.0, 2.0, 0.5, 3163 / 50_000), abs=1e-12)
 
     def test_all_subsets_never_above_arcs(self):
         rng = np.random.default_rng(5)
@@ -689,6 +693,36 @@ class TestBruteForce:
                     assert res.energy == energy
                     assert res.extras["indices"] == indices
                     assert res.iterations == iterations
+
+    def test_arcs_only_sum_is_exactly_rounded(self):
+        # signed entries over 16 decades: numpy's pairwise sum of the k^2
+        # entries is not exactly rounded for many k, the search's sum is
+        rng = np.random.default_rng(20261020)
+        n = 48
+        row = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        K = CellKernelMatrix(n, row, 1.7)
+        pairwise_off = 0
+        for k in range(n + 1):
+            at = np.arange(k)
+            entries = row[(at[None, :] - at[:, None]) % n]
+            exact = math.fsum(entries.ravel())
+            pairwise_off += float(np.sum(entries)) != exact
+            t = k / n
+            assert solve_brute_force(K, k, mode="arcs_only").energy == (
+                2.0 * (exact / (n * n)) - 2.0 * 1.7 * t + 1.7
+            ), k
+        assert pairwise_off >= 10
+
+    def test_arcs_only_sum_near_the_float_limit(self):
+        # two_product's split overflows above ~1.3e300: the entries are
+        # scaled by a power of two first, so the sum stays exactly rounded
+        n, k = 16, 8
+        K = build_cell_matrix(make_lambda_kernel(1e301, 2e301, 0.5), n)
+        at = np.arange(k)
+        exact = math.fsum(K.first_row[(at[None, :] - at[:, None]) % n].ravel())
+        energy = solve_brute_force(K, k, mode="arcs_only").energy
+        assert energy == 2.0 * (exact / (n * n)) - 2.0 * K.abar * (k / n) + K.abar
+        assert energy == pytest.approx(gamma_closed_form(1e301, 2e301, 0.5, 0.5), rel=1e-12)
 
     def test_mode_validation(self):
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 8)
@@ -868,10 +902,11 @@ class TestSubsetSearch:
         assert bool(cell._memo) == bool(budget)
 
     # dense fillings past n = 16, where a block's rows x k decides its layout:
-    # at the default chunk (40, 40), (40, 39) and (48, 46) are one block
-    # scored a position at a time, and (36, 33)'s 199 classes x 33 are scored
-    # a term at a time; at chunk 16 every block is scored a term at a time,
-    # at 2^13 every block a position at a time
+    # the one-row grids (40, 40) and (40, 39) are scored a position at a time
+    # at every chunk; at the default chunk (48, 46) is one block scored a
+    # position at a time, and (36, 33)'s 199 classes x 33 are scored a term
+    # at a time; at chunk 16 the blocks of (36, 33) and (48, 46) are scored a
+    # term at a time, at 2^13 every block a position at a time
     DENSE_CASES = [(40, 40), (40, 39), (36, 33), (48, 46)]
 
     @pytest.mark.parametrize("chunk", [16, cell.SEARCH_CHUNK, 2**13])

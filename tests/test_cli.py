@@ -269,14 +269,16 @@ class TestDefaultConfigs:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
-    def test_arcs_only_cap_message_is_the_librarys(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cell, "BRUTE_FORCE_CAP", 15)
-        K = cell.build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 16)
-        with pytest.raises(util.ResourceLimitError) as lib:
-            cell.solve_brute_force(K, 4, mode="arcs_only")
-        argv = ["cell-solve", "--method", "brute_force", "--mode", "arcs_only", "--k-ones", "4"]
-        assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: {lib.value}\n"
+    def test_arcs_only_over_the_class_cap_is_solved(self, tmp_path):
+        # 3163^2 offsets exceed the cap of 10^7, which counts classes only
+        argv = ["cell-solve", "--method", "brute_force", "--mode", "arcs_only", "--n", "50000",
+                "--k-ones", "3163"]
+        assert dispatch(argv + ["--output-dir", str(tmp_path)]) == 0
+        result = read_json(tmp_path / "cell_solve.json")["result"]
+        assert result["subsets_examined"] == 50000
+        assert result["energy"] == pytest.approx(
+            cell.gamma_closed_form(1.0, 2.0, 0.5, 3163 / 50000), abs=1e-12
+        )
 
     BIG_N = util.MAX_INTERVALS + 1
     BIG_N_MESSAGE = f"build_cell_matrix: {BIG_N} cells exceed the cap {util.MAX_INTERVALS}"
@@ -288,11 +290,6 @@ class TestDefaultConfigs:
             (["cell-solve", "--method", "brute_force", "--n", str(BIG_N), "--k-ones", "1"],
              BIG_N_MESSAGE),
             (["cell-verify", "--n", str(BIG_N)], BIG_N_MESSAGE),
-            # 3163^2 is the first square above the cap of 10^7
-            (["cell-solve", "--method", "brute_force", "--mode", "arcs_only", "--n", "50000",
-              "--k-ones", "3163"],
-             "solve_brute_force: an arc of k_ones = 3163 cells sums 10004569 offsets, "
-             "over the cap 10000000"),
         ],
     )
     def test_cell_size_caps_checked_before_work(self, tmp_path, monkeypatch, capsys, argv, message):
