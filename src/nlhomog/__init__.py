@@ -21,10 +21,12 @@ from .energy import (
 )
 from .cell import (
     CellKernelMatrix,
+    CellMinimum,
     CellProfile,
     CellSolveResult,
     build_cell_matrix,
     cell_energy,
+    cell_minimum,
     gamma_closed_form,
     optimal_profile,
     solve_brute_force,

@@ -7,7 +7,7 @@ that refers to it. ``perfbench/run.py`` records ``HAVE_NUMBA`` (numba
 importable) and ``USE_NUMBA`` (always False); neither selects a code path,
 since every kernel is plain numpy and Python. This module, its import in
 ``nlhomog/__init__.py`` and both flags go when the benchmark reads the
-layers where they are defined (ROADMAP items 3 and 12).
+layers where they are defined (ROADMAP item 3).
 """
 
 import importlib.util

@@ -14,6 +14,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from . import cell
 from .cell import (
     CellProfile,
     build_cell_matrix,
@@ -277,7 +278,7 @@ def criterion_8_capped_potential(pmap: Optional[Callable] = None, **_) -> Criter
     cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=eps, M_grid=DEFAULT_M_GRID, pmap=pmap)
     kern = make_lambda_kernel(1.0, 2.0, 0.5)
     admissible = [
-        oscillating_profile(-0.5, optimal_profile(0.5), eps),
+        oscillating_profile(-0.5, cell.cell_minimum(1.0, 2.0, 0.5, 0.5).arcs, eps),
         StepFunction.constant(0.3),
         StepFunction([0.0, 0.5], [1.0, 0.0]),
     ]

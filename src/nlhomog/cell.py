@@ -9,17 +9,15 @@ fraction t is
 
 For a single arc of length t placed anywhere on the circle (J is rotation
 invariant), direct integration of J gives the three-branch closed form
-implemented by ``gamma_closed_form``. When alpha <= beta the rearrangement
-inequality on the circle shows the arc is the global minimizer, so the closed
-form IS the cell minimum. When alpha > beta (expensive short range, cheap mid
-range) single arcs are NOT optimal: mass splits into several clumps spaced to
-sit in the cheap band, and the exhaustive search returns strictly smaller
-energies than any arc. The closed form then still reports the best-arc
-energy, which is exactly what the arcs-only search converges to. The
-exhaustive search scores one subset per rotation class, so its cap
-``BRUTE_FORCE_CAP`` counts rotation classes, not subsets; the arcs-only
-search costs O(k_ones) and has no cap of its own. Every limit of a search
-(cell count, k_ones range, mode, the class cap) is decided by
+implemented by ``gamma_closed_form``. ``cell_minimum`` alone answers what
+the cell minimum is and which profile attains it; its docstring says when
+the arc is that minimum. Where it is not (alpha > beta) the exhaustive
+search returns strictly smaller energies than any arc, and the closed form
+still reports the best-arc energy, which is exactly what the arcs-only
+search converges to. The exhaustive search scores one subset per rotation
+class, so its cap ``BRUTE_FORCE_CAP`` counts rotation classes, not subsets;
+the arcs-only search costs O(k_ones) and has no cap of its own. Every limit
+of a search (cell count, k_ones range, mode, the class cap) is decided by
 ``enumeration_size`` alone; ``solve_brute_force`` and the CLI call it before
 any work.
 """
@@ -46,7 +44,8 @@ RELAXED_MAX_ITER = 5000
 
 
 def gamma_closed_form(alpha: float, beta: float, lam: float, t: float) -> float:
-    """Best single-arc cell energy at volume fraction t (global min if alpha <= beta).
+    """Best single-arc cell energy at volume fraction t; ``cell_minimum``
+    says when it is the cell minimum.
 
     Branches join continuously at t = lam/2 and t = 1 - lam/2; the formula is
     symmetric under t -> 1 - t and equals the weight mean at t in {0, 1}.
@@ -72,6 +71,31 @@ def optimal_profile(t: float) -> list:
     if t == 1.0:
         return [(0.0, 1.0)]
     return [(0.0, t / 2.0), (1.0 - t / 2.0, 1.0)]
+
+
+@dataclass(frozen=True)
+class CellMinimum:
+    """The cell minimum at one volume fraction and the arcs of the cell
+    profile that attains it."""
+
+    energy: float
+    arcs: tuple
+
+
+def cell_minimum(alpha: float, beta: float, lam: float, t: float) -> CellMinimum:
+    """The cell minimum of the (alpha, beta, lam) weight at volume fraction t
+    and the profile that attains it: the one source of the constant-target
+    limit (t = 1/2) and of the cell profile its recovery sequences repeat.
+
+    It is the centred arc of length t (``optimal_profile``) and its energy
+    (``gamma_closed_form``, whose checks run first). For alpha <= beta the arc
+    is the minimum, by rearrangement on the circle (Baernstein & Taylor, Duke
+    Math. J. 1976). For alpha > beta it is only an upper bound: mass splits
+    into clumps that sit in the cheap mid-range band, and at (2, 1, 1/2) and
+    t = 1/2 three arcs of length 1/6 cost 17/24 against the arc's 7/8.
+    """
+    energy = gamma_closed_form(alpha, beta, lam, t)
+    return CellMinimum(energy=energy, arcs=tuple(optimal_profile(t)))
 
 
 @dataclass(frozen=True)
@@ -564,7 +588,12 @@ def solve_brute_force(
     rotation, which contains cell 0. Representatives are visited in
     lexicographic order, and a subset replaces the incumbent only when it is
     lower by more than 1e-12 * max(1, k_ones^2 * max|row|), so near-ties
-    keep the subset seen first. Energy and minimizer are those of a scan over all k-subsets
+    keep the subset seen first. Both modes sum the row in units of a power
+    of two 2^e near its largest entry, and scale tie_tol alike, so that no
+    sum of k_ones^2 entries overflows; the energy takes raw / n^2 back to
+    scale by 2^e. A power-of-two scale is exact and commutes with rounding,
+    so every result is that of the unscaled sums wherever those are finite.
+    Energy and minimizer are those of a scan over all k-subsets
     in lexicographic order; the minimizer is reported in its canonical
     (smallest) rotation. ``iterations`` is C(n, k_ones), the number of
     subsets covered, not the number scored. The representatives depend only
@@ -574,30 +603,28 @@ def solve_brute_force(
     an arc holds the same k_ones^2 entries row[(j - i) mod n], so only the
     arc at cell 0 is scored, by the exactly rounded sum of those entries in
     O(k_ones): the offset d = j - i in (-k_ones, k_ones) occurs k_ones - |d|
-    times, each product is split exactly by ``two_product`` and the parts
-    are added by ``math.fsum`` (Shewchuk, 1997), all in units of a power of
-    two near the largest entry. ``iterations`` is n, the arcs covered (1 when
-    k_ones is 0).
+    times, each product is split exactly by ``two_product`` (whose split
+    overflows above ~1.3e300, but the scaled entries lie in [-1, 1]) and the
+    parts are added by ``math.fsum`` (Shewchuk, 1997). ``iterations`` is n,
+    the arcs covered (1 when k_ones is 0).
     """
     n = K.n
     iterations = enumeration_size(n, k_ones, mode)
     t = k_ones / n
-    row = K.first_row
+    # the sums are formed in units of 2^e, with the scaled row in [-1, 1]
+    e = math.frexp(float(np.max(np.abs(K.first_row))))[1]
+    row = np.ldexp(K.first_row, -e)
     if mode == "all_subsets":
-        tie_tol = 1e-12 * max(1.0, k_ones * k_ones * float(np.max(np.abs(row))))
+        tie_tol = 1e-12 * max(math.ldexp(1.0, -e), k_ones * k_ones * float(np.max(np.abs(row))))
         raw, idx = brute_force_search(row, n, k_ones, tie_tol)
     else:
         idx = np.arange(k_ones)
         d = np.arange(1 - k_ones, k_ones)
-        entries = row[d % n]
-        # scaled by a power of two into [-1, 1], exactly: two_product's split
-        # overflows above ~1.3e300
-        e = math.frexp(float(np.max(np.abs(entries), initial=0.0)))[1]
-        parts = two_product(k_ones - np.abs(d).astype(float), np.ldexp(entries, -e))
-        raw = float(np.ldexp(math.fsum(np.concatenate(parts)), e))
+        parts = two_product(k_ones - np.abs(d).astype(float), row[d % n])
+        raw = math.fsum(np.concatenate(parts))
     values = np.zeros(n)
     values[idx] = 1.0
-    energy = _assemble_energy(K, raw / (n * n), t)
+    energy = _assemble_energy(K, math.ldexp(raw / (n * n), e), t)
     return CellSolveResult(
         profile=CellProfile.from_values(values),
         energy=float(energy),

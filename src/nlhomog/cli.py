@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, util
+from . import acceptance, cell, util
 from .cell import (
     build_cell_matrix,
     check_cell_count,
@@ -282,7 +282,7 @@ def _cell_matrix(cfg, searches=()):
 def _cmd_cell_solve(cfg, pmap) -> int:
     method = cfg["method"]
     if method == "closed_form":
-        val = gamma_closed_form(cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["t"])
+        val = cell.cell_minimum(cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["t"]).energy
         result = {"method": "closed_form", "t": cfg["t"], "energy": val}
     elif method == "projected_gradient":
         K = _cell_matrix(cfg)

@@ -1,14 +1,15 @@
 """Limit experiments: homogenized values, convergence studies, certificates.
 
 Everything here is a finite-epsilon computation checked against closed forms:
-the constant-target limit (``gamma_closed_form`` at volume fraction 1/2, the
-best single-arc cell energy; every quantity derived from the limit, such as
-``implied_g1``, goes through ``gamma_limit_constant_value``), the
-step-target limit (mean weight times s^2 + (1-s)^2), the two-scale pairing,
-the non-representability certificate (the cost a pairwise double-integral
-representation would have to assign to unit increments depends on the jump
-location, so no such representation exists), and the capped-potential
-threshold experiment against the fixed family ``DEVIATION_PROFILES``.
+the constant-target limit (the cell minimum at volume fraction 1/2, whose
+value and profile come from ``cell.cell_minimum`` alone; every quantity
+derived from the limit, such as ``implied_g1``, goes through
+``gamma_limit_constant_value``), the step-target limit (mean weight times
+s^2 + (1-s)^2), the two-scale pairing, the non-representability certificate
+(the cost a pairwise double-integral representation would have to assign to
+unit increments depends on the jump location, so no such representation
+exists), and the capped-potential threshold experiment against the fixed
+family ``DEVIATION_PROFILES``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .cell import gamma_closed_form, optimal_profile
+from . import cell
 from .energy import evaluate, evaluate_potentials
 from .kernel import PeriodicStepFunction, lambda_weight_mean, make_lambda_kernel
 from .states import StepFunction, TripleWellPotential, check_profile_size, oscillating_profile
@@ -70,13 +71,9 @@ class Certificate:
 
 
 def gamma_limit_constant_value(alpha: float, beta: float, lam: float) -> float:
-    """Homogenized energy of any constant target: the cell closed form at
-    volume fraction 1/2, ((1 - (1-lam)^2) * alpha + (1-lam)^2 * beta) / 2.
-
-    That is the best single-arc energy; for alpha > beta multi-clump cell
-    profiles cost less, so there it only bounds the limit from above.
-    """
-    return gamma_closed_form(alpha, beta, lam, 0.5)
+    """Homogenized energy of any constant target: ``cell.cell_minimum`` at
+    volume fraction 1/2, whose docstring says when it is exact."""
+    return cell.cell_minimum(alpha, beta, lam, 0.5).energy
 
 
 def _fit_rate(eps: Sequence[float], errs: Sequence[float], limit_ref: float):
@@ -147,19 +144,20 @@ def run_recovery_study(
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
     pmap: Optional[Callable] = None,
 ) -> ConvergenceStudy:
-    """Energies of the oscillating recovery profile c - 1/2 + arcs(x/eps).
+    """Energies of the oscillating recovery profile c - 1/2 + arcs(x/eps),
+    with the arcs and the limit of ``cell.cell_minimum`` at volume fraction 1/2.
 
     On whole-period grids (1/eps integer) the exact evaluator reproduces the
     limit to roundoff at every eps; non-integer 1/eps is allowed but noted,
     since boundary layers then contaminate the rate fit. Every eps is sized
     before the first profile is built.
     """
-    arcs = optimal_profile(0.5)
+    best = cell.cell_minimum(alpha, beta, lam, 0.5)
     for eps in eps_grid:
-        check_profile_size(arcs, eps)
+        check_profile_size(best.arcs, eps)
     return _energy_study(
-        lambda eps: oscillating_profile(c - 0.5, arcs, eps),
-        alpha, beta, lam, eps_grid, gamma_limit_constant_value(alpha, beta, lam), pmap,
+        lambda eps: oscillating_profile(c - 0.5, best.arcs, eps),
+        alpha, beta, lam, eps_grid, best.energy, pmap,
     )
 
 
@@ -203,11 +201,10 @@ def two_scale_pairing(
 
     Between consecutive breakpoints of chi_eps and psi1 the product
     chi_eps * psi1 is constant, and psi2(x/eps) integrates over each such
-    piece in closed form (``PeriodicStepFunction.integral``), so the cost
-    depends neither on eps nor on the number of segments of psi2.
+    piece in closed form (``PeriodicStepFunction.integral``, which refuses
+    an eps outside (0, 1]), so the cost depends neither on eps nor on the
+    number of segments of psi2.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
     edges = np.unique(np.concatenate([chi_eps.endpoints, psi1.endpoints]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     weights = psi2.integral(edges[:-1], edges[1:], eps)
@@ -329,7 +326,7 @@ def fM_threshold_experiment(
     # every cap is checked before any energy is computed
     pots = [TripleWellPotential(cap=M) for M in M_grid]
     kern = make_lambda_kernel(alpha, beta, lam)
-    u_opt = oscillating_profile(-0.5, optimal_profile(0.5), eps)
+    u_opt = oscillating_profile(-0.5, cell.cell_minimum(alpha, beta, lam, 0.5).arcs, eps)
     e_opt = evaluate(u_opt, TripleWellPotential(), kern, eps).value
 
     def energies(u):

@@ -118,12 +118,17 @@ class PeriodicStepFunction(StepFunction):
         The antiderivative of f is mean*t + b1 + S(t) with S = B_per' bounded
         and 1-periodic, so each integral is mean*(x1 - x0) plus eps times a
         difference of S values: nothing grows with 1/eps and nothing cancels.
-        eps and the bounds are checked by ``check_reduction``.
+        eps and the bounds are checked by ``check_reduction``. An eps above 1
+        is refused too: there eps times a difference of tiny phases carries
+        the whole result and loses its digits, and the split of eps in
+        ``two_product`` overflows from ~1e300.
         """
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(x1, dtype=float)
         # np.maximum, unlike max, passes a NaN in either bound to the check
         check_reduction(eps, np.maximum(np.abs(x0).max(initial=0.0), np.abs(x1).max(initial=0.0)))
+        if eps > 1.0:
+            raise ValueError("eps must lie in (0, 1]")
 
         def slope(x):
             # the phase of x/eps = t + r/eps, r = x - t*eps exactly: t alone

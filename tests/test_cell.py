@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,15 +14,20 @@ import pytest
 
 import nlhomog
 from nlhomog import (
+    CellMinimum,
     CellProfile,
     PeriodicStepKernel,
     ResourceLimitError,
+    TripleWellPotential,
     build_cell_matrix,
     cell_energy,
+    cell_minimum,
+    evaluate,
     gamma_closed_form,
     integrate,
     make_lambda_kernel,
     optimal_profile,
+    oscillating_profile,
     solve_brute_force,
     solve_relaxed,
 )
@@ -125,6 +131,35 @@ class TestOptimalProfile:
     def test_total_length(self, t):
         arcs = optimal_profile(t)
         assert sum(b - a for a, b in arcs) == pytest.approx(t, abs=1e-15)
+
+
+class TestCellMinimum:
+    @pytest.mark.parametrize("alpha,beta,lam", PARAM_GRID)
+    def test_is_the_closed_form_and_the_centred_arc(self, alpha, beta, lam):
+        for t in (0.0, 0.1, 0.5, 0.93, 1.0):
+            best = cell_minimum(alpha, beta, lam, t)
+            assert best == CellMinimum(gamma_closed_form(alpha, beta, lam, t), tuple(optimal_profile(t)))
+        with pytest.raises(AttributeError):
+            best.energy = 0.0
+
+    @pytest.mark.parametrize("args", [(-1.0, 2.0, 0.5, 1.5), (1.0, 2.0, 1.2, 1.5), (1.0, 2.0, 0.5, 1.5)])
+    def test_refuses_as_the_closed_form(self, args):
+        # the weight is checked before t, as by gamma_closed_form
+        with pytest.raises(ValueError) as closed:
+            gamma_closed_form(*args)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(closed.value))}$"):
+            cell_minimum(*args)
+
+    def test_inverted_weight_arc_is_only_an_upper_bound(self):
+        # the docstring's example: at (2, 1, 1/2) three arcs of length 1/6
+        # cost 17/24 on whole periods, below the centred arc's 7/8
+        best = cell_minimum(2.0, 1.0, 0.5, 0.5)
+        assert best.energy == 0.875
+        fold = [(j / 3.0, j / 3.0 + 1.0 / 6.0) for j in range(3)]
+        kern = make_lambda_kernel(2.0, 1.0, 0.5)
+        for eps in (1.0 / 8.0, 1.0 / 64.0):
+            value = evaluate(oscillating_profile(-0.5, fold, eps), TripleWellPotential(), kern, eps).value
+            assert value == pytest.approx(17.0 / 24.0, abs=1e-15)
 
 
 class TestCellMatrix:
@@ -723,6 +758,27 @@ class TestBruteForce:
         energy = solve_brute_force(K, k, mode="arcs_only").energy
         assert energy == 2.0 * (exact / (n * n)) - 2.0 * K.abar * (k / n) + K.abar
         assert energy == pytest.approx(gamma_closed_form(1e301, 2e301, 0.5, 0.5), rel=1e-12)
+
+    def test_power_of_two_scaled_weight_scales_exactly(self):
+        # the k^2 sums are formed in units near the largest entry: at 2^1016
+        # the unscaled sums overflowed from k = 12 (all subsets) and k = 14 (arcs)
+        n = 16
+        K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), n)
+        big = build_cell_matrix(make_lambda_kernel(2.0**1016, 2.0**1017, 0.5), n)
+        assert np.array_equal(big.first_row, np.ldexp(K.first_row, 1016))
+        for mode in ("all_subsets", "arcs_only"):
+            for k in range(n + 1):
+                r, r_big = solve_brute_force(K, k, mode), solve_brute_force(big, k, mode)
+                assert r_big.energy == math.ldexp(r.energy, 1016), (mode, k)
+                assert r_big.extras["indices"] == r.extras["indices"], (mode, k)
+
+    def test_huge_weights_match_closed_form(self):
+        n = 16
+        K = build_cell_matrix(make_lambda_kernel(1e306, 2e306, 0.5), n)
+        for mode in ("all_subsets", "arcs_only"):
+            for k in range(n + 1):
+                closed = gamma_closed_form(1e306, 2e306, 0.5, k / n)
+                assert solve_brute_force(K, k, mode).energy == pytest.approx(closed, rel=1e-12), (mode, k)
 
     def test_mode_validation(self):
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 8)

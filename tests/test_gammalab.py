@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from bisect import bisect_right
@@ -23,8 +24,10 @@ from nlhomog import (
     step_limit_value,
     two_scale_pairing,
 )
-from nlhomog import ArgumentRangeError, ResourceLimitError, gammalab
-from nlhomog.kernel import PeriodicStepFunction
+from nlhomog import ArgumentRangeError, ResourceLimitError, acceptance, cell, gammalab
+from nlhomog.cell import CellMinimum
+from nlhomog.cli import dispatch
+from nlhomog.kernel import PeriodicStepFunction, lambda_weight_mean
 
 EPS_GRID = [1.0 / m for m in (8, 16, 32, 64)]
 
@@ -52,6 +55,63 @@ class TestConstantLimit:
                 expected, abs=1e-12
             )
         assert 0 < inverted < 30
+
+
+class TestCellMinimumSeam:
+    """Every consumer of the constant-target value and its profile reads
+    ``cell.cell_minimum``: replaced by the m = 3 fold of the inverted weight
+    (three arcs of length 1/6, exact energy 17/24), all of them follow it."""
+
+    FOLD = CellMinimum(17.0 / 24.0, tuple((j / 3.0, j / 3.0 + 1.0 / 6.0) for j in range(3)))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def fold(*args):
+            seen.append(args)
+            return self.FOLD
+
+        monkeypatch.setattr(cell, "cell_minimum", fold)
+        return seen
+
+    def test_limit_and_implied_cost_follow(self, calls):
+        assert gamma_limit_constant_value(2.0, 1.0, 0.5) == 17.0 / 24.0
+        abar = lambda_weight_mean(2.0, 1.0, 0.5)
+        assert implied_g1(0.25, 2.0, 1.0, 0.5) == pytest.approx(
+            (0.625 / 0.375) * (abar - 17.0 / 24.0), rel=1e-15
+        )
+        assert calls == [(2.0, 1.0, 0.5, 0.5)] * 2
+
+    def test_recovery_study_follows(self, calls):
+        # the fold's profile and its value: on whole periods they agree to roundoff
+        st = run_recovery_study(0.0, 2.0, 1.0, 0.5)
+        assert calls == [(2.0, 1.0, 0.5, 0.5)]
+        assert st.limit_ref == 17.0 / 24.0
+        assert st.final_error <= 1e-14
+
+    def test_threshold_experiment_follows(self, calls):
+        cert = fM_threshold_experiment(2.0, 1.0, 0.5, M_grid=(1.0,))
+        assert calls == [(2.0, 1.0, 0.5, 0.5)]
+        assert cert.payload["admissible_optimum_energy"] == pytest.approx(17.0 / 24.0, abs=1e-14)
+
+    def test_criterion_8_follows(self, calls):
+        acceptance.criterion_8_capped_potential()
+        assert set(calls) == {(1.0, 2.0, 0.5, 0.5)}
+
+    def test_cell_solve_closed_form_follows(self, calls, tmp_path):
+        rc = dispatch(["cell-solve", "--method", "closed_form", "--alpha", "2", "--beta", "1",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 0
+        assert calls == [(2.0, 1.0, 0.5, 0.5)]
+        report = json.loads((tmp_path / "cell_solve.json").read_text())
+        assert report["result"]["energy"] == 17.0 / 24.0
+
+    def test_gammalab_has_no_other_path(self):
+        # neither arc function is bound in gammalab, under any name
+        arc_functions = (cell.gamma_closed_form, cell.optimal_profile)
+        assert not any(value is f for value in vars(gammalab).values() for f in arc_functions)
+        assert not {"gamma_closed_form", "optimal_profile"} & set(vars(gammalab))
 
 
 class TestRecoveryStudy:

@@ -229,6 +229,14 @@ class TestPeriodicIntegral:
         with pytest.raises(ValueError, match=r"^eps must be positive$"):
             f.integral(0.0, 0.5, eps)
 
+    @pytest.mark.parametrize("eps", [math.nextafter(1.0, 2.0), 1e10, 1e301])
+    def test_eps_above_one_refused(self, eps):
+        # the exact value is 1; unrefused, eps = 1e10 gave 0.9999999173 and 1e301 NaN
+        f = PeriodicStepFunction([0.0, 0.5], [1.0, 3.0])
+        assert f.integral(0.0, 1.0, 1.0) == 2.0
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\]$"):
+            f.integral(0.0, 1.0, eps)
+
     def test_argument_range_guard(self):
         f = PeriodicStepFunction([0.0, 0.3], [1.0, -2.0])
         with pytest.raises(ArgumentRangeError):

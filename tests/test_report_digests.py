@@ -1,8 +1,9 @@
-"""Every default report stays byte-identical unless a change says otherwise.
+"""Every pinned report stays byte-identical unless a change says otherwise.
 
 ``tools/report_digests.py`` prints the sha256 of each report that every
-subcommand writes with its defaults; ``tools/report_digests.txt`` holds the
-lines of the last accepted change.
+subcommand writes with its defaults, and that the lambda-weight subcommands
+write with the inverted weight ``--alpha 2 --beta 1``;
+``tools/report_digests.txt`` holds the lines of the last accepted change.
 """
 
 import subprocess
