@@ -3,14 +3,15 @@
 Each criterion returns a structured result with a pass flag and the computed
 numbers. The results are honest: two checks encode expectations that the
 computed mathematics contradicts (see the package README), and they report
-failure rather than weakening their assertions.
+failure rather than weakening their assertions. The suite is fixed in size
+and runs serially at any thread count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .gammalab import (
 )
 from .kernel import PeriodicStepKernel, make_lambda_kernel
 from .states import StepFunction, TripleWellPotential, oscillating_profile
-from .util import serial_map
 
 # seed of criterion 5's random instances, and of the CLI's --seed
 DEFAULT_SEED = 20260809
@@ -152,10 +152,10 @@ def criterion_3_discrete_to_continuum(**_) -> CriterionResult:
     )
 
 
-def criterion_4_gamma_limit_convergence(pmap: Optional[Callable] = None, **_) -> CriterionResult:
-    study = run_recovery_study(0.0, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID, pmap=pmap)
+def criterion_4_gamma_limit_convergence(**_) -> CriterionResult:
+    study = run_recovery_study(0.0, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID)
     ok_conv = study.final_error <= 1e-2
-    flat = run_flat_study(0.0, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID, pmap=pmap)
+    flat = run_flat_study(0.0, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID)
     flat_errs = [abs(v - 1.5) for v in flat.values]
     ok_flat = max(flat_errs) <= 1e-10
     return CriterionResult(
@@ -236,11 +236,11 @@ def criterion_5_quadrature_oracle(seed: int = DEFAULT_SEED, **_) -> CriterionRes
     )
 
 
-def criterion_6_step_target_limit(pmap: Optional[Callable] = None, **_) -> CriterionResult:
+def criterion_6_step_target_limit(**_) -> CriterionResult:
     rows = {}
     ok = True
     for s in (0.25, 0.5):
-        study = run_step_study(s, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID, pmap=pmap)
+        study = run_step_study(s, 1.0, 2.0, 0.5, DEFAULT_EPS_GRID)
         rows[str(s)] = study.to_json()
         ok &= study.final_error <= 1e-2
         ok &= abs(study.limit_ref - step_limit_value(s, 1.0, 2.0, 0.5)) <= 1e-12
@@ -255,8 +255,8 @@ def criterion_6_step_target_limit(pmap: Optional[Callable] = None, **_) -> Crite
     )
 
 
-def criterion_7_non_representability(pmap: Optional[Callable] = None, **_) -> CriterionResult:
-    cert = non_representability_certificate(1.0, 2.0, 0.5, eps_grid=DEFAULT_EPS_GRID, pmap=pmap)
+def criterion_7_non_representability(**_) -> CriterionResult:
+    cert = non_representability_certificate(1.0, 2.0, 0.5, eps_grid=DEFAULT_EPS_GRID)
     p = cert.payload
     ok = (
         cert.verdict == "confirmed"
@@ -273,9 +273,9 @@ def criterion_7_non_representability(pmap: Optional[Callable] = None, **_) -> Cr
     )
 
 
-def criterion_8_capped_potential(pmap: Optional[Callable] = None, **_) -> CriterionResult:
+def criterion_8_capped_potential(**_) -> CriterionResult:
     eps = DEFAULT_FM_EPS
-    cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=eps, M_grid=DEFAULT_M_GRID, pmap=pmap)
+    cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=eps, M_grid=DEFAULT_M_GRID)
     kern = make_lambda_kernel(1.0, 2.0, 0.5)
     admissible = [
         oscillating_profile(-0.5, cell.cell_minimum(1.0, 2.0, 0.5, 0.5).arcs, eps),
@@ -310,12 +310,12 @@ CRITERIA = (
 )
 
 
-def run_criterion(fn: Callable, seed: int = DEFAULT_SEED, pmap: Optional[Callable] = None) -> CriterionResult:
+def run_criterion(fn: Callable, seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
-    res = fn(seed=seed, pmap=pmap or serial_map)
+    res = fn(seed=seed)
     res.elapsed_s = time.perf_counter() - start
     return res
 
 
-def run_all(seed: int = DEFAULT_SEED, pmap: Optional[Callable] = None) -> List[CriterionResult]:
-    return [run_criterion(fn, seed=seed, pmap=pmap) for fn in CRITERIA]
+def run_all(seed: int = DEFAULT_SEED) -> List[CriterionResult]:
+    return [run_criterion(fn, seed=seed) for fn in CRITERIA]

@@ -352,9 +352,7 @@ def _cmd_gamma_limit(cfg, pmap) -> int:
     study = run_recovery_study(
         cfg["c"], cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["eps_grid"], pmap=pmap
     )
-    flat = run_flat_study(
-        cfg["c"], cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["eps_grid"], pmap=pmap
-    )
+    flat = run_flat_study(cfg["c"], cfg["alpha"], cfg["beta"], cfg["lambda"], cfg["eps_grid"])
     result = {"recovery_study": study.to_json(), "flat_study": flat.to_json()}
     csv = (
         ["eps", "oscillating_value", "oscillating_abs_error", "flat_value"],
@@ -430,7 +428,6 @@ def _cmd_fm_threshold(cfg, pmap) -> int:
         cfg["lambda"],
         eps=cfg["eps"],
         M_grid=cfg["M_grid"],
-        pmap=pmap,
     )
     csv = (
         ["M", "all_strictly_worse"] + [f"deviation_{i}" for i in range(cert.payload["n_deviation_profiles"])],
@@ -447,7 +444,7 @@ def _cmd_fm_threshold(cfg, pmap) -> int:
 
 
 def _cmd_reproduce_all(cfg, pmap) -> int:
-    results = acceptance.run_all(seed=cfg["seed"], pmap=pmap)
+    results = acceptance.run_all(seed=cfg["seed"])
     result = {
         "criteria": [r.to_json() for r in results],
         "all_passed": all(r.passed for r in results),

@@ -81,8 +81,8 @@ At 1/eps = 1e6 the profile builds in ~0.2 s and evaluates in ~0.4 s on one
 core of a 2-vCPU VM (peak RSS ~0.23 GB): its 2 000 002 endpoints fall on 59
 distinct phases, and ``circle_field`` merges the endpoints of each distinct
 phase before its window sums. A profile whose P = 2e6 endpoints all
-have distinct phases takes ~2.9 s under a 5-segment weight (peak RSS
-~0.65 GB). ``util.MAX_INTERVALS``,
+have distinct phases takes 1.9-2.9 s under a 5-segment weight (fresh
+processes, peak RSS ~0.65 GB). ``util.MAX_INTERVALS``,
 the one interval cap of profile construction, the evaluator and the
 quadrature grid, admits it and 1/eps = 2^20.
 """

@@ -10,6 +10,11 @@ s^2 + (1-s)^2), the two-scale pairing, the non-representability certificate
 unit increments depends on the jump location, so no such representation
 exists), and the capped-potential threshold experiment against the fixed
 family ``DEVIATION_PROFILES``.
+
+A parallel map (``pmap``) is taken only where the profiles grow with 1/eps:
+the recovery study, and the certificate, which hands it to its recovery
+study. The flat, step and capped-potential studies score a fixed number of
+intervals at every eps, too little work for a pool to pay, and run serially.
 """
 
 from __future__ import annotations
@@ -116,10 +121,11 @@ def _whole_period_notes(eps_grid):
     return notes
 
 
-def _energy_study(profile_of_eps, alpha, beta, lam, eps_grid, limit_ref, pmap):
+def _energy_study(profile_of_eps, alpha, beta, lam, eps_grid, limit_ref, pmap=None):
     """Exact energies of profile_of_eps(eps) under the uncapped potential and
     the (alpha, beta, lam) weight, one per eps, as a study against limit_ref.
-    The grid is checked before any energy is computed."""
+    The grid is checked before any energy is computed. pmap maps over the
+    grid; only a profile that grows with 1/eps gives a pool work to share."""
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid:
         raise ValueError("eps_grid must not be empty")
@@ -167,13 +173,12 @@ def run_flat_study(
     beta: float,
     lam: float,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    pmap: Optional[Callable] = None,
 ) -> ConvergenceStudy:
     """Energies of the constant (non-oscillating) sequence u == c: these stay
     at the full mean weight, strictly above the homogenized value."""
     u = StepFunction.constant(c)
     mean = make_lambda_kernel(alpha, beta, lam).table.mean
-    return _energy_study(lambda eps: u, alpha, beta, lam, eps_grid, mean, pmap)
+    return _energy_study(lambda eps: u, alpha, beta, lam, eps_grid, mean)
 
 
 def run_step_study(
@@ -182,13 +187,12 @@ def run_step_study(
     beta: float,
     lam: float,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    pmap: Optional[Callable] = None,
 ) -> ConvergenceStudy:
     """Energies of the fixed single-jump target at shrinking eps (constant
     sequence in eps; the oscillating weight averages out)."""
     u = StepFunction([0.0, s], [1.0, 0.0])
     limit_ref = step_limit_value(s, alpha, beta, lam)
-    return _energy_study(lambda eps: u, alpha, beta, lam, eps_grid, limit_ref, pmap)
+    return _energy_study(lambda eps: u, alpha, beta, lam, eps_grid, limit_ref)
 
 
 def two_scale_pairing(
@@ -264,9 +268,7 @@ def non_representability_certificate(
     g_b = implied_g1(s2, alpha, beta, lam)
     diff = abs(g_a - g_b)
     const_study = run_recovery_study(0.0, alpha, beta, lam, eps_grid, pmap=pmap)
-    step_studies = {
-        s: run_step_study(s, alpha, beta, lam, eps_grid, pmap=pmap) for s in (s1, s2)
-    }
+    step_studies = {s: run_step_study(s, alpha, beta, lam, eps_grid) for s in (s1, s2)}
     reproduced = const_study.final_error <= study_tol and all(
         st.final_error <= study_tol for st in step_studies.values()
     )
@@ -308,7 +310,6 @@ def fM_threshold_experiment(
     lam: float,
     eps: float = DEFAULT_FM_EPS,
     M_grid: Sequence[float] = DEFAULT_M_GRID,
-    pmap: Optional[Callable] = None,
 ) -> Certificate:
     """Find the smallest tested cap at which every profile of
     DEVIATION_PROFILES costs strictly more than the admissible oscillating
@@ -318,11 +319,9 @@ def fM_threshold_experiment(
     wells, so they are expected to lose once the cap is large enough; the
     experiment measures the empirical threshold over the given grid. The cap
     enters only the level weights, so each profile is scored against the
-    whole grid with one circle sum (``evaluate_potentials``), and ``pmap``
-    maps over the profiles: 1 + len(DEVIATION_PROFILES) circle sums for any
-    grid.
+    whole grid with one circle sum (``evaluate_potentials``): 1 +
+    len(DEVIATION_PROFILES) circle sums for any grid, run serially.
     """
-    pmap = pmap or serial_map
     # every cap is checked before any energy is computed
     pots = [TripleWellPotential(cap=M) for M in M_grid]
     kern = make_lambda_kernel(alpha, beta, lam)
@@ -333,7 +332,7 @@ def fM_threshold_experiment(
         return [r.value for r in evaluate_potentials(u, pots, kern, eps)]
 
     # one list per profile, turned into one list per cap
-    by_cap = map(list, zip(*pmap(energies, DEVIATION_PROFILES)))
+    by_cap = map(list, zip(*map(energies, DEVIATION_PROFILES)))
     rows = [
         {
             "M": float(pot.cap),
@@ -342,7 +341,9 @@ def fM_threshold_experiment(
         }
         for pot, energies in zip(pots, by_cap)
     ]
-    threshold = next((r["M"] for r in rows if r["all_strictly_worse"]), None)
+    # each deviation energy is affine and non-decreasing in the cap, so every
+    # cap above the smallest qualifying one qualifies too
+    threshold = min((r["M"] for r in rows if r["all_strictly_worse"]), default=None)
     payload = {
         "eps": eps,
         "admissible_optimum_energy": e_opt,

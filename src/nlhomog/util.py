@@ -15,9 +15,14 @@ import numpy as np
 # 1/eps = 1e6 and 2_097_153 at 1/eps = 2^20; both evaluate in seconds.
 MAX_INTERVALS = 2_200_000
 
+# Largest thread count make_pmap accepts: a pool starts up to one thread per
+# grid point, and the grids the CLI reads have no length cap.
+MAX_THREADS = 64
+
 
 class ResourceLimitError(RuntimeError):
-    """A configured size cap (breakpoint count, enumeration size) was exceeded.
+    """A configured size cap (breakpoint count, enumeration size,
+    thread count) was exceeded.
 
     The message names the stage that refused the work and the size that hit
     the cap."""
@@ -35,10 +40,13 @@ def make_pmap(threads: int) -> Callable[[Callable, Iterable], list]:
     """Ordered parallel map over independent work items.
 
     Results come back in input order regardless of completion order, so any
-    thread count produces identical output. Each item must be pure.
+    thread count produces identical output. Each item must be pure. A count
+    outside [1, MAX_THREADS] is refused before any thread starts.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if threads > MAX_THREADS:
+        raise ResourceLimitError(f"make_pmap: {threads} threads exceed the cap {MAX_THREADS}")
     if threads == 1:
         return serial_map
 

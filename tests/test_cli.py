@@ -445,8 +445,20 @@ class TestTrimmedParser:
         assert built == ["energy", None, None, None]
 
 
+OVER_THREAD_CAP = util.MAX_THREADS + 1
+OVER_THREAD_CAP_MESSAGE = f"make_pmap: {OVER_THREAD_CAP} threads exceed the cap {util.MAX_THREADS}"
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(util, "ThreadPoolExecutor", refuse)
+
+
 class TestThreadCount:
-    """A thread count below 1 is refused before any work."""
+    """A thread count below 1 or above util.MAX_THREADS is refused before any work."""
 
     def test_make_pmap_refuses_fewer_than_one_thread(self):
         for threads in (0, -3):
@@ -454,11 +466,17 @@ class TestThreadCount:
                 util.make_pmap(threads)
         assert util.make_pmap(1) is util.serial_map
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    def test_make_pmap_refuses_more_than_the_cap(self, no_pool):
+        with pytest.raises(util.ResourceLimitError, match=f"^{OVER_THREAD_CAP_MESSAGE}$"):
+            util.make_pmap(OVER_THREAD_CAP)
+        assert callable(util.make_pmap(util.MAX_THREADS))
+
+    @pytest.mark.parametrize("threads", [0, -3, OVER_THREAD_CAP])
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", [["gamma-table"], ["gamma-limit", "--eps-grid", "0.25"]],
                              ids=lambda v: v[0])
-    def test_refused_before_any_work(self, tmp_path, capsys, command, source, threads):
+    def test_refused_before_any_work(self, tmp_path, capsys, no_pool, command, source, threads):
+        message = "threads must be at least 1" if threads < 1 else OVER_THREAD_CAP_MESSAGE
         if source == "flag":
             given = ["--threads", str(threads)]
         else:
@@ -466,7 +484,7 @@ class TestThreadCount:
             cfg.write_text(json.dumps({"threads": threads}))
             given = ["--config", str(cfg)]
         assert dispatch(command + given + ["--output-dir", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "error: threads must be at least 1\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -841,9 +859,15 @@ class TestNonFiniteNumbers:
 
 class TestDeterminism:
     def test_thread_count_does_not_change_report_bytes(self, tmp_path):
+        grid = ["--eps-grid", "0.125,0.0625,0.03125"]
         commands = [
-            (["gamma-limit", "--eps-grid", "0.125,0.0625,0.03125", "--seed", "7"], "gamma_limit"),
-            # pmap runs over the deviation profiles, each scored against every cap
+            # the recovery study maps over the grid, the flat study runs serially
+            (["gamma-limit", *grid, "--seed", "7"], "gamma_limit"),
+            # the recovery study maps over the grid, the step studies run serially
+            (["non-rep", *grid], "non_rep"),
+            # the pairings map over the grid
+            (["two-scale", *grid], "two_scale"),
+            # runs serially at any thread count: every profile is scored against every cap
             (["fm-threshold", "--M-grid", "1,1.5,2,3,4,6,8,12,16,24,32,48,64"], "fm_threshold"),
         ]
         for argv, stem in commands:
@@ -852,5 +876,6 @@ class TestDeterminism:
                 out = tmp_path / f"{stem}_t{threads}"
                 rc = dispatch(argv + ["--threads", threads, "--output-dir", str(out)])
                 assert rc == 0
-                outs[threads] = [(out / f"{stem}.{ext}").read_bytes() for ext in ("json", "csv")]
+                outs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+            assert f"{stem}.json" in outs["1"], stem
             assert outs["1"] == outs["8"], stem

@@ -421,6 +421,20 @@ class TestNonRepresentability:
         cert = non_representability_certificate(1.0, 2.0, 0.5, tol=10.0, eps_grid=EPS_GRID)
         assert cert.verdict == "refuted"
 
+    def test_pmap_maps_over_the_recovery_study_alone(self):
+        # the step studies score two intervals at every eps and run serially
+        mapped = []
+
+        def pmap(fn, items):
+            mapped.append(list(items))
+            return [fn(x) for x in mapped[-1]]
+
+        cert = non_representability_certificate(1.0, 2.0, 0.5, eps_grid=EPS_GRID, pmap=pmap)
+        assert mapped == [list(EPS_GRID)]
+        assert cert.to_json() == non_representability_certificate(
+            1.0, 2.0, 0.5, eps_grid=EPS_GRID
+        ).to_json()
+
     @pytest.mark.parametrize("name", ["tol", "study_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_tolerance_is_refused_before_any_study(self, monkeypatch, name, value):
@@ -460,3 +474,10 @@ class TestCappedThreshold:
         cert = fM_threshold_experiment(1.0, 2.0, 0.5, eps=1.0 / 32.0, M_grid=(1.0, 2.0))
         assert cert.verdict == "inconclusive"
         assert cert.payload["threshold_M"] is None
+
+    def test_threshold_is_the_smallest_qualifying_cap(self):
+        # the rows keep grid order; the threshold is the least qualifying cap
+        cert = fM_threshold_experiment(1.0, 2.0, 0.5, M_grid=(32.0, 1.0))
+        assert [r["M"] for r in cert.payload["rows"]] == [32.0, 1.0]
+        assert all(r["all_strictly_worse"] for r in cert.payload["rows"])
+        assert cert.payload["threshold_M"] == 1.0
