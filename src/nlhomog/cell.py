@@ -15,9 +15,10 @@ the arc is that minimum. Where it is not (alpha > beta) the exhaustive
 search returns strictly smaller energies than any arc, and the closed form
 still reports the best-arc energy, which is exactly what the arcs-only
 search converges to. The exhaustive search scores one subset per rotation
-class, so its cap ``BRUTE_FORCE_CAP`` counts rotation classes, not subsets;
-the arcs-only search costs O(k_ones) and has no cap of its own. Every limit
-of a search (cell count, k_ones range, mode, the class cap) is decided by
+class, a sum of k_ones^2 entries, so its cap ``BRUTE_FORCE_CAP`` counts
+those terms, rotation classes times k_ones^2, not subsets; the arcs-only
+search costs O(k_ones) and has no cap of its own. Every limit of a search
+(cell count, k_ones range, mode, the term cap) is decided by
 ``enumeration_size`` alone; ``solve_brute_force`` and the CLI call it before
 any work.
 """
@@ -38,7 +39,7 @@ from .kernel import PeriodicStepKernel, check_lambda_parameters, lambda_weight_m
 from .states import Arc
 from .util import ResourceLimitError
 
-BRUTE_FORCE_CAP = 10_000_000  # all-subsets rotation classes
+BRUTE_FORCE_CAP = 2**31  # all-subsets terms: rotation classes x k_ones^2
 RELAXED_TOL = 1e-12  # solve_relaxed: largest change of one step
 RELAXED_MAX_ITER = 5000
 
@@ -540,15 +541,17 @@ def enumeration_size(n: int, k_ones: int, mode: str = "all_subsets") -> int:
 
     Refuses an n outside [2, ``util.MAX_INTERVALS``] by ``check_cell_count``;
     with ValueError a k_ones outside [0, n] and an unknown mode; with
-    ResourceLimitError all-subsets rotation classes (one is scored per
-    class) above ``BRUTE_FORCE_CAP``. An arcs-only search costs O(k_ones)
-    and is refused for nothing else. The message gives both counts as powers
-    of two, short however many digits they have. A class holds at most n
-    subsets, so C(n, k_ones)/n bounds the class count below; when that
-    bound, from ``math.lgamma``, is above twice the cap, the search is
-    refused without the exact counts, and the message gives the bound
-    rounded up to 0.1 in the exponent, which never reads below the exact
-    count's rounded exponent.
+    ResourceLimitError an all-subsets search of more than ``BRUTE_FORCE_CAP``
+    terms: one subset is scored per rotation class, a sum of k_ones^2
+    entries, so the terms are the classes times k_ones^2. An arcs-only
+    search costs O(k_ones) and is refused for nothing else. The message
+    gives the subsets and classes as powers of two, short however many
+    digits they have. A class holds at most n subsets, so C(n, k_ones)/n
+    bounds the class count below; when that bound times k_ones^2, from
+    ``math.lgamma``, is above twice the cap, the search is refused without
+    the exact counts, and the message gives the class bound rounded up to
+    0.1 in the exponent, which never reads below the exact count's rounded
+    exponent.
     """
     check_cell_count(n)
     if not 0 <= k_ones <= n:
@@ -561,18 +564,19 @@ def enumeration_size(n: int, k_ones: int, mode: str = "all_subsets") -> int:
         math.lgamma(n + 1) - math.lgamma(k_ones + 1) - math.lgamma(n - k_ones + 1)
     ) / math.log(2.0)
     log2_classes = log2_comb - math.log2(n)
-    if log2_classes <= math.log2(BRUTE_FORCE_CAP) + 1.0:
+    # k_ones = 0 scores nothing; counting it as 1 term only routes it to the exact test
+    if log2_classes + 2.0 * math.log2(max(k_ones, 1)) <= math.log2(BRUTE_FORCE_CAP) + 1.0:
         n_comb = math.comb(n, k_ones)
         classes = rotation_classes(n, k_ones)
-        if classes <= BRUTE_FORCE_CAP:
+        if classes * k_ones * k_ones <= BRUTE_FORCE_CAP:
             return n_comb
         log2_comb, log2_classes = math.log2(n_comb), math.log2(classes)
     else:
         log2_classes = math.ceil(10.0 * log2_classes) / 10.0
     raise ResourceLimitError(
         f"solve_brute_force: C({n},{k_ones}) ~ 2^{log2_comb:.1f} subsets in "
-        f"~ 2^{log2_classes:.1f} rotation classes exceed the enumeration cap "
-        f"{BRUTE_FORCE_CAP}"
+        f"~ 2^{log2_classes:.1f} rotation classes of {k_ones}^2 terms exceed the "
+        f"enumeration cap {BRUTE_FORCE_CAP} terms"
     )
 
 
@@ -583,12 +587,13 @@ def solve_brute_force(
 
     ``enumeration_size`` checks every limit before the search starts.
     mode "all_subsets" covers every k-subset of cells (capped at
-    BRUTE_FORCE_CAP rotation classes). The energy is rotation invariant, so
-    one subset per rotation class is scored: its lexicographically smallest
-    rotation, which contains cell 0. Representatives are visited in
-    lexicographic order, and a subset replaces the incumbent only when it is
-    lower by more than 1e-12 * max(1, k_ones^2 * max|row|), so near-ties
-    keep the subset seen first. Both modes sum the row in units of a power
+    BRUTE_FORCE_CAP terms, rotation classes times k_ones^2). The energy is
+    rotation invariant, so one subset per rotation class is scored: its
+    lexicographically smallest rotation, which contains cell 0.
+    Representatives are visited in lexicographic order, and a subset
+    replaces the incumbent only when it is lower by more than
+    1e-12 * max(1, k_ones^2 * max|row|), so near-ties keep the subset seen
+    first. Both modes sum the row in units of a power
     of two 2^e near its largest entry, and scale tie_tol alike, so that no
     sum of k_ones^2 entries overflows; the energy takes raw / n^2 back to
     scale by 2^e. A power-of-two scale is exact and commutes with rounding,

@@ -31,9 +31,9 @@ at ``beta_s``: ``g(u) = q0_s + q1_s (u - beta_s) + q2_s (u - beta_s)^2``),
     F(theta_a) = sum_b c_b g((theta_a - theta_b) mod 1)
 
 at every phase in O(P log P + m U log U) for P phases, U of them distinct,
-and m segments. F depends on a phase only through its value, so
-``np.unique`` merges the entries of each distinct phase (``np.bincount``
-sums their weights) and the sums run over the U distinct phases and their
+and m segments. F depends on a phase only through its value, so ``_group``
+merges the entries of each distinct phase (``np.bincount`` sums their
+weights) and the sums run over the U distinct phases and their
 copies ``theta - 1``: each phase has one copy in ``(theta - 1, theta]``, the
 copies whose difference falls in segment s fill the window
 ``(theta - beta_{s+1}, theta - beta_s]``, and prefix sums of ``c``,
@@ -77,12 +77,13 @@ z = -1/2, -0.2 on x86-64:
     1/eps = 3e5                    (P = 600_001)            <= 3.1e-16
 
 tests/test_energy.py::TestErrorBudget holds 1/eps = 2^14 and 2^16 to 1e-12.
-At 1/eps = 1e6 the profile builds in ~0.2 s and evaluates in ~0.4 s on one
-core of a 2-vCPU VM (peak RSS ~0.23 GB): its 2 000 002 endpoints fall on 59
-distinct phases, and ``circle_field`` merges the endpoints of each distinct
-phase before its window sums. A profile whose P = 2e6 endpoints all
-have distinct phases takes 1.9-2.9 s under a 5-segment weight (fresh
-processes, peak RSS ~0.65 GB). ``util.MAX_INTERVALS``,
+At 1/eps = 1e6 the profile builds in 0.10-0.16 s and evaluates in
+0.15-0.24 s on one core of a 2-vCPU VM (fresh processes, peak RSS ~0.22 GB):
+its 2 000 002 endpoints fall on 59 distinct phases, which ``_group`` finds
+by a search in the distinct phases, and ``circle_field`` merges the
+endpoints of each distinct phase before its window sums. A profile whose
+P = 2e6 endpoints all have distinct phases takes 2.1-2.7 s under a
+5-segment weight (fresh processes, peak RSS ~0.65 GB). ``util.MAX_INTERVALS``,
 the one interval cap of profile construction, the evaluator and the
 quadrature grid, admits it and 1/eps = 2^20.
 """
@@ -147,6 +148,41 @@ def _cumsum0(v, dtype=float):
     return out
 
 
+# ``_group`` finds each entry's index by binary search when the values repeat
+# at least this often on average, and from a sort's permutation otherwise. On
+# the phases of oscillating profiles with 512 arcs the search took 1.0-1.4x
+# the permutation's time at P/U = 4-13 and 0.83-0.86x at P/U = 32-37; with
+# 1-64 arcs it won at every P/U, and on shuffled values it lost at every P/U
+# up to 64 (numpy 2.4, one core of a 2-vCPU VM).
+GROUP_SEARCH_RATIO = 16
+
+
+def _group(x):
+    """The sorted distinct values of the 1-D array ``x`` and the index of
+    each entry among them, equal to ``np.unique(x, return_inverse=True)``
+    for finite x.
+
+    The values are sorted once, without their permutation. When there are
+    at most P / ``GROUP_SEARCH_RATIO`` distinct values among the P entries,
+    each entry's index is found by ``np.searchsorted`` in the distinct
+    values; otherwise it comes from the permutation of an ``np.argsort``,
+    as in ``np.unique``, whose argsort is its slowest step when values repeat:
+    for the 2 000 002 endpoint phases of the recovery profile at
+    1/eps = 1e6, 59 distinct, ``np.unique`` takes 0.13-0.15 s and this
+    0.03 s (one core of a 2-vCPU VM).
+    """
+    s = np.sort(x)
+    new = np.empty(s.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    tu = s[new]
+    if tu.size * GROUP_SEARCH_RATIO <= x.size:
+        return tu, np.searchsorted(tu, x)
+    inv = np.empty(x.size, dtype=np.intp)
+    inv[np.argsort(x)] = np.cumsum(new) - 1
+    return tu, inv
+
+
 def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
     """F[k, a] = sum_b weights[k, b] g((theta[a] - theta[b]) mod 1).
 
@@ -155,9 +191,19 @@ def circle_field(theta, weights, kbp, q0, q1=None, q2=None):
     ``q0, q1, q2``; leaving out q1 and q2 makes it piecewise constant.
     Needs ``kbp[0] == 0`` (as ``StepFunction`` requires) and ``theta`` from
     ``phases``: then ``tu - 1`` is exact and the outer cuts need no search.
+
+    ``_group`` gives the U distinct phases ``tu`` and each entry's index
+    among them; the weights are merged per distinct phase, the window sums
+    run over ``tu`` and its copies ``tu - 1``, and each entry reads the
+    field of its phase. The endpoints of an eps-periodic profile fall on a
+    few phases (3 of 8194 for the recovery profile at 1/eps = 4096), so the
+    indices come from a search in ``tu``; phases that repeat less than
+    ``GROUP_SEARCH_RATIO`` times on average, such as those of a rough
+    profile or of a quadrature grid not commensurate with eps, take them
+    from a sort's permutation.
     """
     # F depends on a phase only through its value: one weight per distinct phase
-    tu, inv = np.unique(theta, return_inverse=True)
+    tu, inv = _group(theta)
     U = tu.size
     phi = np.concatenate([tu - 1.0, tu])
     edges = np.append(kbp, 1.0)
@@ -219,9 +265,11 @@ def pair_energy(endpoints, lengths, level_idx, wl, k, eps):
     t = k.table
     L = wl.shape[1]
     P = lengths.shape[0]
+    on = level_idx == np.arange(L)[:, None]
     D = np.zeros((L, P + 1))
-    D[level_idx, np.arange(P)] = -1.0
-    D[level_idx, np.arange(1, P + 1)] += 1.0
+    D[:, 1:] += on
+    D[:, :-1] -= on
+    del on
     S = np.bincount(level_idx, weights=lengths, minlength=L)
     F = circle_field(phases(endpoints, eps), D, k.breakpoints, t.q0, t.q1, t.q2)
     return [
@@ -247,7 +295,7 @@ def quadrature_energy(centers, lengths, iu, w, k, eps):
 def _level_structure(u: StepFunction, pots, tol: float):
     """The level weight matrices of u under each potential, stacked as
     (len(pots), L, L), and the level of each interval."""
-    levels, level_idx = np.unique(u.values, return_inverse=True)
+    levels, level_idx = _group(u.values)
     diff = levels[:, None] - levels[None, :]
     wls = np.array([p.value(diff, tol) for p in pots]).reshape(len(pots), levels.size, levels.size)
     return wls, level_idx.astype(np.int64)

@@ -179,13 +179,16 @@ def oscillating_profile(z: float, arcs: Sequence[Arc], eps: float) -> StepFuncti
     # (j+1)*eps, capped at 1; each cut ends a piece of value 0 (gap), 1 (arc),
     # ..., 0. One rounding per cut keeps whole-period grids exact.
     offsets = np.append(np.asarray(arcs, dtype=float).reshape(-1), 1.0)
-    flags = np.append(np.tile([0.0, 1.0], len(arcs)), 0.0)
-    j = np.arange(periods, dtype=float)
-    cuts = np.minimum((j[:, None] + offsets[None, :]) * eps, 1.0)
-    cuts = np.concatenate([[0.0], cuts.reshape(-1)])
-    flags = np.tile(flags, periods)
-    # drop zero-length pieces, merge equal neighbours
-    keep = cuts[1:] > cuts[:-1]
-    starts, flags = cuts[:-1][keep], flags[keep]
-    first = np.concatenate([[True], flags[1:] != flags[:-1]])
-    return StepFunction(starts[first], z + flags[first])
+    r = offsets.size
+    cuts = np.empty(periods * r + 1)
+    cuts[0] = 0.0
+    body = cuts[1:].reshape(periods, r)  # a view: the cuts are written in place
+    np.add(np.arange(periods, dtype=float)[:, None], offsets, out=body)
+    body *= eps
+    np.minimum(body, 1.0, out=body)
+    # drop zero-length pieces, merge equal neighbours; index gathers, as a
+    # boolean gather costs more here than finding the indices first
+    keep = np.flatnonzero(cuts[1:] > cuts[:-1])
+    flags = np.tile(np.arange(r) % 2 == 1, periods)[keep]
+    first = np.flatnonzero(np.concatenate([[True], flags[1:] != flags[:-1]]))
+    return StepFunction(cuts[keep[first]], z + flags[first])

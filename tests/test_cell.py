@@ -562,9 +562,48 @@ class TestBruteForce:
                 assert cell.rotation_classes(n, k) == classes, (n, k)
 
     def test_cap_admits_n30_k15_by_rotation_classes(self):
-        # 5 170 604 classes; C(30, 15) = 155 117 520 subsets would exceed the cap
-        assert cell.rotation_classes(30, 15) == 5_170_604 <= cell.BRUTE_FORCE_CAP
+        # 5 170 604 classes of 15^2 terms; C(30, 15) = 155 117 520 subsets of
+        # 15^2 terms would exceed the cap
+        assert cell.rotation_classes(30, 15) == 5_170_604
+        assert 5_170_604 * 15**2 <= cell.BRUTE_FORCE_CAP < math.comb(30, 15) * 15**2
         assert cell.enumeration_size(30, 15) == math.comb(30, 15)
+
+    @pytest.mark.parametrize(
+        "n, k_ones, message",
+        [
+            # one class of 1e10 terms
+            (100_000, 100_000, r"C\(100000,100000\) ~ 2\^0\.0 subsets in ~ 2\^0\.0 rotation classes "
+                               r"of 100000\^2 terms exceed the enumeration cap 2147483648 terms$"),
+            # 5 146 125 classes of 496^2 terms, 1.27e12 in all
+            (500, 496, r"C\(500,496\) ~ 2\^31\.3 subsets in ~ 2\^22\.3 rotation classes of 496\^2"),
+        ],
+    )
+    def test_cap_counts_the_terms_each_class_scores(self, monkeypatch, n, k_ones, message):
+        def no_work(*args):
+            raise AssertionError("search started before the cap check")
+
+        monkeypatch.setattr(cell, "brute_force_search", no_work)
+        with pytest.raises(ResourceLimitError, match=message):
+            cell.enumeration_size(n, k_ones)
+        with pytest.raises(ResourceLimitError, match=message):
+            solve_brute_force(CellKernelMatrix(n, np.ones(n), 1.0), k_ones)
+
+    def test_term_cap_keeps_the_grids_that_are_searched(self):
+        # n = 16 (acceptance) and 20 (cell workload), n = k = 3000 and 5000
+        # (one class each) and n = 1000, k = 998 (500 classes of 998^2 terms)
+        for k in range(17):
+            assert cell.enumeration_size(16, k) == math.comb(16, k)
+        for k in range(21):
+            assert cell.enumeration_size(20, k) == math.comb(20, k)
+        assert max(cell.rotation_classes(20, k) * k * k for k in range(21)) == 1_016_158
+        assert cell.enumeration_size(3000, 3000) == cell.enumeration_size(5000, 5000) == 1
+        assert cell.enumeration_size(1000, 998) == math.comb(1000, 998)
+        assert cell.rotation_classes(1000, 998) * 998**2 <= cell.BRUTE_FORCE_CAP
+        # the largest one-class search the cap admits
+        assert 46_340**2 <= cell.BRUTE_FORCE_CAP < 46_341**2
+        assert cell.enumeration_size(46_340, 46_340) == 1
+        with pytest.raises(ResourceLimitError, match=r"of 46341\^2 terms exceed"):
+            cell.enumeration_size(46_341, 46_341)
 
     def test_cap_refuses_n40_k20_naming_subsets_and_classes(self):
         with pytest.raises(
@@ -585,13 +624,20 @@ class TestBruteForce:
             cell.enumeration_size(2_200_000, 275_000)
         assert str(err.value) == (
             "solve_brute_force: C(2200000,275000) ~ 2^1195831.5 subsets in "
-            "~ 2^1195810.5 rotation classes exceed the enumeration cap 10000000"
+            "~ 2^1195810.5 rotation classes of 275000^2 terms exceed the enumeration cap "
+            "2147483648 terms"
         )
 
     @pytest.mark.parametrize("n", [2, 16, 2_200_000])
     def test_empty_and_full_subsets_form_one_class(self, n):
         assert cell.rotation_classes(n, 0) == cell.rotation_classes(n, n) == 1
-        assert cell.enumeration_size(n, 0) == cell.enumeration_size(n, n) == 1
+        assert cell.enumeration_size(n, 0) == 1
+        # the full subset's one class scores n^2 terms
+        if n * n <= cell.BRUTE_FORCE_CAP:
+            assert cell.enumeration_size(n, n) == 1
+        else:
+            with pytest.raises(ResourceLimitError, match=rf"of {n}\^2 terms exceed"):
+                cell.enumeration_size(n, n)
 
     @pytest.mark.parametrize("mode", ["all_subsets", "arcs_only"])
     @pytest.mark.parametrize(
@@ -618,12 +664,14 @@ class TestBruteForce:
         assert cell.enumeration_size(16, 0, "arcs_only") == 1
 
     def test_arcs_only_has_no_cap_of_its_own(self):
-        # an arc is scored in O(k_ones): 3163^2 offsets, over the class cap,
-        # and the largest grid are admitted
-        assert 3163 * 3163 > cell.BRUTE_FORCE_CAP
+        # an arc is scored in O(k_ones): the largest grid is admitted, though
+        # its k_ones^2 terms are over the all-subsets term cap
         assert cell.enumeration_size(50_000, 3163, "arcs_only") == 50_000
         big = util.MAX_INTERVALS
+        assert big * big > cell.BRUTE_FORCE_CAP
         assert cell.enumeration_size(big, big, "arcs_only") == big
+        with pytest.raises(ResourceLimitError, match=r"of 2200000\^2 terms exceed"):
+            cell.enumeration_size(big, big)
         K = build_cell_matrix(make_lambda_kernel(1.0, 2.0, 0.5), 50_000)
         res = solve_brute_force(K, 3163, mode="arcs_only")
         assert res.iterations == 50_000

@@ -658,6 +658,28 @@ class TestPairEnergyOracle:
                 oracle = _rect_sum(u, p, k, eps)
                 assert abs(fast - oracle) <= 1e-13 * abs(oracle), (case, fast, oracle)
 
+    def test_endpoint_measures_match_scattered_construction_bit_for_bit(self, monkeypatch):
+        # D[l] is -1 at the left and +1 at the right end of each interval on
+        # level l, as the scatter D[level_idx, arange(P)] = -1, then
+        # D[level_idx, arange(1, P + 1)] += 1 built it
+        seen = []
+        field = energy.circle_field
+        monkeypatch.setattr(
+            energy, "circle_field", lambda t, w, *a: seen.append(w.copy()) or field(t, w, *a)
+        )
+        rng = np.random.default_rng(33)
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        for case in range(60):
+            P, L = int(rng.integers(1, 200)), int(rng.integers(1, 7))
+            level_idx = rng.integers(0, L, P)
+            lengths = np.full(P, 1.0 / P)
+            endpoints = np.arange(P + 1) / P
+            energy.pair_energy(endpoints, lengths, level_idx, np.ones((1, L, L)), k, 1.0 / 7.3)
+            D = np.zeros((L, P + 1))
+            D[level_idx, np.arange(P)] = -1.0
+            D[level_idx, np.arange(1, P + 1)] += 1.0
+            assert seen[-1].tobytes() == D.tobytes(), case
+
 
 def _direct_quadrature(centers, lengths, iu, w, k, eps):
     """O(C^2) oracle: the midpoint sum with the weight evaluated pair by pair."""
@@ -880,3 +902,63 @@ class TestOuterCuts:
                        "kbp = [0]": kbp.size == 1, "6 segments": kbp.size == 6, "6 rows": rows == 6}
             seen.update(name for name, hit in reached.items() if hit)
         assert seen == set(reached)
+
+
+class TestGroup:
+    """energy._group returns what np.unique(x, return_inverse=True) does,
+    by a search in the distinct values when they repeat often enough and
+    from the sort's permutation otherwise."""
+
+    @staticmethod
+    def _branch(monkeypatch, x):
+        """_group(x), checked against np.unique, and the branch it took."""
+        calls = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **kw: calls.append(1) or search(*a, **kw))
+        tu, inv = energy._group(x)
+        monkeypatch.undo()
+        tu0, inv0 = np.unique(x, return_inverse=True)
+        assert np.array_equal(tu, tu0) and np.array_equal(inv, inv0)
+        assert inv.dtype == inv0.dtype and inv.shape == x.shape
+        return "search" if calls else "permutation"
+
+    def test_recovery_phases_are_searched(self, monkeypatch):
+        eps = 1.0 / 4096
+        u = oscillating_profile(-0.5, optimal_profile(0.5), eps)
+        theta = energy.phases(u.endpoints, eps)
+        assert np.unique(theta).size * energy.GROUP_SEARCH_RATIO <= theta.size
+        assert self._branch(monkeypatch, theta) == "search"
+        assert self._branch(monkeypatch, u.values) == "search"
+
+    def test_all_distinct_values_take_the_permutation(self, monkeypatch):
+        x = np.random.default_rng(1).uniform(0.0, 1.0, 1000)
+        assert self._branch(monkeypatch, x) == "permutation"
+
+    def test_threshold(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        P = 50 * energy.GROUP_SEARCH_RATIO
+        for U, branch in ((49, "search"), (50, "search"), (51, "permutation")):
+            x = rng.permutation(np.resize(rng.uniform(-1.0, 1.0, U), P))
+            assert np.unique(x).size == U
+            assert self._branch(monkeypatch, x) == branch, U
+
+    @pytest.mark.parametrize("P, branch", [(1, "permutation"), (15, "permutation"), (16, "search")])
+    def test_single_value(self, monkeypatch, P, branch):
+        assert self._branch(monkeypatch, np.full(P, 0.3)) == branch
+
+    @pytest.mark.parametrize("periods", [3, 40])
+    def test_signed_zero_levels(self, monkeypatch, periods):
+        # 2 * periods intervals on levels 0 and 1, zeros of either sign
+        bp = np.arange(2 * periods) / (2 * periods)
+        values = np.tile([0.0, 1.0], periods)
+        signed = values.copy()
+        signed[::4] = -0.0
+        assert np.signbit(signed).any() and not np.signbit(values).any()
+        branch = "search" if 2 * periods >= 2 * energy.GROUP_SEARCH_RATIO else "permutation"
+        assert self._branch(monkeypatch, signed) == branch
+        k = make_lambda_kernel(1.0, 2.0, 0.5)
+        for p in (INF_POT, TripleWellPotential(cap=3.0)):
+            for eps in (1.0, 1.0 / 3.0, 1.0 / 7.3):
+                a = evaluate(StepFunction(bp, values), p, k, eps).value
+                b = evaluate(StepFunction(bp, signed), p, k, eps).value
+                assert a == b and math.isfinite(a), (p, eps)

@@ -181,6 +181,22 @@ def _reference_profile(z, arcs, eps):
     return np.array(bp), z + np.array(vals)
 
 
+def _broadcast_profile(z, arcs, eps):
+    """oscillating_profile as it was built from a broadcast sum of periods
+    and offsets, a tiled flag array and boolean gathers."""
+    arcs, periods = check_profile_size(arcs, eps)
+    offsets = np.append(np.asarray(arcs, dtype=float).reshape(-1), 1.0)
+    flags = np.append(np.tile([0.0, 1.0], len(arcs)), 0.0)
+    j = np.arange(periods, dtype=float)
+    cuts = np.minimum((j[:, None] + offsets[None, :]) * eps, 1.0)
+    cuts = np.concatenate([[0.0], cuts.reshape(-1)])
+    flags = np.tile(flags, periods)
+    keep = cuts[1:] > cuts[:-1]
+    starts, flags = cuts[:-1][keep], flags[keep]
+    first = np.concatenate([[True], flags[1:] != flags[:-1]])
+    return starts[first], z + flags[first]
+
+
 def _random_arcs(rng):
     """Sorted disjoint arcs; some touch, start at 0 or end at 1."""
     cuts = np.unique(np.round(rng.uniform(0.0, 1.0, 2 * int(rng.integers(0, 5))), 2))
@@ -210,6 +226,20 @@ class TestOscillatingProfile:
             bp, vals = _reference_profile(z, arcs, eps)
             assert np.array_equal(u.breakpoints, bp), (arcs, eps)
             assert np.array_equal(u.values, vals), (arcs, eps)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [[], [(0.0, 1.0)], optimal_profile(0.5), [(0.0, 0.1), (0.4, 0.6), (0.85, 1.0)], [(0.3, 0.7)]],
+    )
+    @pytest.mark.parametrize("inv_eps", [1.0, 7.3, 64.0, 1000.25, 4096.0, 4096.43])
+    def test_matches_broadcast_construction_bit_for_bit(self, arcs, inv_eps):
+        eps = 1.0 / inv_eps
+        for z in (-0.5, -0.0, 0.3):
+            u = oscillating_profile(z, arcs, eps)
+            bp, vals = _broadcast_profile(z, arcs, eps)
+            assert u.breakpoints.tobytes() == bp.tobytes()
+            assert u.values.tobytes() == vals.tobytes()
+            assert u.values.dtype == np.float64
 
     def test_quarter_eps_profile(self):
         u = oscillating_profile(-0.5, optimal_profile(0.5), 0.25)
